@@ -904,52 +904,6 @@ def _cmd_fuzz_seed_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_mp(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.messagepassing.fastpath.bench import (
-        check_gates,
-        format_report,
-        run_mp_bench,
-    )
-
-    payload = run_mp_bench(quick=args.quick)
-    with open(args.output, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(format_report(payload))
-    print(f"artifact       : {args.output}")
-    failures = check_gates(
-        payload,
-        min_mp_speedup=args.min_mp_speedup,
-        min_thm4_speedup=args.min_thm4_speedup,
-    )
-    for message in failures:
-        print(f"FAIL: {message}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _cmd_bench_runtime(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.runtime.bench import (
-        check_gates,
-        format_report,
-        run_runtime_bench,
-    )
-
-    payload = run_runtime_bench(quick=args.quick)
-    with open(args.output, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(format_report(payload))
-    print(f"artifact       : {args.output}")
-    failures = check_gates(payload, min_wire_speedup=args.min_wire_speedup)
-    for message in failures:
-        print(f"FAIL: {message}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def _parse_int_list(text: str) -> tuple:
     """Parse "8,16,32" or "0:8" (half-open range) into a tuple of ints."""
     out = []
@@ -1100,24 +1054,6 @@ def _cmd_sweep_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_sweep(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.sweeps.bench import check_gates, format_report, run_sweep_bench
-
-    payload = run_sweep_bench(quick=args.quick)
-    with open(args.output, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(format_report(payload))
-    print(f"artifact       : {args.output}")
-    failures = check_gates(
-        payload, min_cell_speedup=args.min_cell_speedup)
-    for message in failures:
-        print(f"FAIL: {message}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def _store_args(p: argparse.ArgumentParser, toggle: bool = True) -> None:
     """Attach ``--store`` (and for recorders ``--no-store``) to a parser."""
     from repro.observability.store import DEFAULT_STORE_PATH
@@ -1255,51 +1191,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     pf_seed.add_argument("directory", nargs="?", default="tests/corpus")
     pf_seed.add_argument("--no-verify", action="store_true")
     pf_seed.set_defaults(fn=_cmd_fuzz_seed_corpus)
-
-    p_bench = sub.add_parser(
-        "bench", help="performance benchmarks (JSON artifacts + gates)"
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-
-    pb_mp = bench_sub.add_parser(
-        "mp", help="message-passing fastpath vs reference DES engine"
-    )
-    pb_mp.add_argument("--quick", action="store_true",
-                       help="CI smoke sizes: n=32 DES run, fast-trial thm4")
-    pb_mp.add_argument("--output", default="BENCH_perf_mp.json",
-                       help="artifact path (default: %(default)s)")
-    pb_mp.add_argument("--min-mp-speedup", type=float, default=None,
-                       help="fail if the DES single-run speedup is below "
-                            "this factor")
-    pb_mp.add_argument("--min-thm4-speedup", type=float, default=None,
-                       help="fail if the run_thm4 speedup is below this "
-                            "factor")
-    pb_mp.set_defaults(fn=_cmd_bench_mp)
-
-    pb_runtime = bench_sub.add_parser(
-        "runtime", help="live-runtime wire formats + fleet throughput"
-    )
-    pb_runtime.add_argument("--quick", action="store_true",
-                            help="CI smoke sizes: fewer messages, 2-cell "
-                                 "fleet grid")
-    pb_runtime.add_argument("--output", default="BENCH_perf_runtime.json",
-                            help="artifact path (default: %(default)s)")
-    pb_runtime.add_argument("--min-wire-speedup", type=float, default=None,
-                            help="fail if binary-batched/json delivered "
-                                 "msgs/sec is below this factor")
-    pb_runtime.set_defaults(fn=_cmd_bench_runtime)
-
-    pb_sweep = bench_sub.add_parser(
-        "sweep", help="batched-cell sweep engine vs one-task-per-cell"
-    )
-    pb_sweep.add_argument("--quick", action="store_true",
-                          help="CI smoke sizes: small grid, small fit")
-    pb_sweep.add_argument("--output", default="BENCH_perf_sweep.json",
-                          help="artifact path (default: %(default)s)")
-    pb_sweep.add_argument("--min-cell-speedup", type=float, default=None,
-                          help="fail if batched/per-cell cells-per-sec is "
-                               "below this factor")
-    pb_sweep.set_defaults(fn=_cmd_bench_sweep)
 
     p_sweep = sub.add_parser(
         "sweep", help="resumable phase-diagram sweeps over the kernel layer"

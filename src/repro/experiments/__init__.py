@@ -14,7 +14,6 @@ from repro.experiments.registry import (
     run_experiment,
     list_experiments,
 )
-from repro.experiments.sweep import Sweep, SweepPoint
 from repro.experiments.parallel import run_experiments_parallel
 
 __all__ = [
@@ -23,7 +22,5 @@ __all__ = [
     "get_experiment",
     "run_experiment",
     "list_experiments",
-    "Sweep",
-    "SweepPoint",
     "run_experiments_parallel",
 ]

@@ -29,8 +29,9 @@ delay draw, per transmission; timer jitter per arming; dwell per pending
 action) and reproduces the reference's ``(time, seq)`` event ordering —
 so seeded runs are bit-reproducible across engines and the golden traces
 replay record-for-record.  Equivalence is enforced by the differential
-suite in ``tests/messagepassing/test_mp_fastpath.py`` and inline by every
-timed run of ``benchmarks/bench_perf_mp.py``.
+suite in ``tests/messagepassing/test_mp_fastpath.py``; the repository
+benchmark's ``des_grid`` workload (``perfbench/``) reports which engine
+ran.
 
 Escape hatches mirror PR 2: every builder takes ``use_fastpath=...``, the
 ``REPRO_FASTPATH_MP=0`` environment variable disables the packed engine

@@ -128,8 +128,7 @@ class Link:
     Instances are ``__slots__``-backed: a CST run allocates two link
     directions per ring edge but *touches* them on every event, so the
     dict-free layout trims both per-link memory and the attribute-access
-    constant in ``_transmit``/``_arrive`` (micro-benched in
-    ``BENCH_perf_mp.json``'s reference-path note).
+    constant in ``_transmit``/``_arrive``.
     """
 
     __slots__ = (

@@ -203,19 +203,11 @@ class CSTNode:
                 self.on_state_change(self, old, new_state)
         return True
 
-    #: Class-level switch for the payload interning above; the reference-path
-    #: micro-benchmark A/Bs it (``CSTNode.intern_payloads = False`` restores
-    #: one fresh allocation per broadcast).
-    intern_payloads = True
-
     def broadcast_state(self) -> None:
         """Send ``<state, q_i>`` to every neighbour (links handle busy/loss)."""
-        if self.intern_payloads:
-            payload = self._payload
-            if payload is None or payload.state != self.state:
-                payload = self._payload = Message(self.index, self.state)
-        else:
-            payload = Message(self.index, self.state)
+        payload = self._payload
+        if payload is None or payload.state != self.state:
+            payload = self._payload = Message(self.index, self.state)
         for link in self.links.values():
             link.send(payload)
 

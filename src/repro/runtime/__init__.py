@@ -19,8 +19,8 @@ many concurrent rings (shared sockets, optional worker-process sharding,
 optional uvloop) and :mod:`repro.runtime.loadgen` drives their critical
 sections with configurable client request rates.
 
-Entry points: ``repro live run|chaos|status``, ``repro fleet run|status``
-and ``repro bench runtime`` on the CLI, or
+Entry points: ``repro live run|chaos|status`` and ``repro fleet run|status``
+on the CLI, or
 :func:`~repro.runtime.harness.live_run` /
 :func:`~repro.runtime.harness.live_chaos` /
 :func:`~repro.runtime.fleet.run_fleet` from Python.

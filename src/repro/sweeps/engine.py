@@ -14,7 +14,7 @@ completion:
      (:func:`repro.kernels.batched.run_convergence_cells`), amortizing
      per-cell task setup into one numpy pipeline.  Counter-based per-cell
      randomness makes the results identical to running each cell alone —
-     the benchmark asserts this cell-by-cell;
+     ``tests/sweeps/test_engine.py`` asserts this cell-by-cell;
    * **per-cell mode**: one task per cell through
      :func:`repro.experiments.parallel.run_tasks_parallel` (the
      pre-kernel-layer execution shape; DES cells always run this way);
@@ -105,6 +105,18 @@ def _des_cell_worker(payload: tuple) -> Dict[str, Any]:
     }
 
 
+def _timed(job: tuple) -> Tuple[Dict[str, Any], float]:
+    """Run ``worker(payload)`` where it is scheduled; ``(result, seconds)``.
+
+    Module-level so it pickles into pool workers; the clock covers only
+    the cell itself, never the parent's recording or throttle sleep.
+    """
+    worker, payload = job
+    t0 = time.perf_counter()
+    result = worker(payload)
+    return result, time.perf_counter() - t0
+
+
 def _publish_progress(
     name: str, done: int, total: int, cell: Optional[CellSpec], engine: str
 ) -> None:
@@ -161,8 +173,7 @@ def run_sweep(
     mode:
         ``"auto"`` (batch whatever is batchable), ``"batched"`` (require
         the batched backend; error for DES grids) or ``"per-cell"`` (one
-        task per cell — the pre-refactor execution shape, and the
-        benchmark baseline).
+        task per cell — the pre-refactor execution shape).
     workers:
         Process fan-out for per-cell tasks (1 = in-process).
     throttle:
@@ -245,19 +256,14 @@ def run_sweep(
                          spec.gap_duration)
                         for c in missing
                     ]
-                walls: Dict[int, float] = {}
 
-                def _on_result(index, result, _done, _total):
-                    cell = missing[index]
-                    wall = time.perf_counter() - walls.get(index, t0)
-                    _record(cell, result, "per-cell", wall)
+                def _on_result(index, timed, _done, _total):
+                    result, wall = timed
+                    _record(missing[index], result, "per-cell", wall)
 
-                # Wall clocks are informational; parallel completion order
-                # makes exact per-cell timing from the parent approximate.
-                for i in range(len(missing)):
-                    walls[i] = time.perf_counter()
                 run_tasks_parallel(
-                    worker, payloads, workers=workers, on_result=_on_result,
+                    _timed, [(worker, p) for p in payloads],
+                    workers=workers, on_result=_on_result,
                 )
 
             wall = time.perf_counter() - t0

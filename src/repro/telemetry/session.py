@@ -136,7 +136,7 @@ class TelemetrySession:
         per-step ``engine.step`` events when something will actually observe
         them — a metrics/manifest-only session skips the bus fan-out, which
         is what keeps telemetry-on runs within a few percent of
-        telemetry-off (see ``benchmarks/bench_perf_engines.py``).
+        telemetry-off.
         """
         return self._writer is not None or self._detail_subscribers > 0
 

@@ -368,6 +368,14 @@ def test_sweep_grid_order_and_engine_independence():
     ]
     assert strip(fast) == strip(ref)
 
+    # run_thm4's fast-mode grid; its rows are a pure function of these cells.
+    thm4 = dict(
+        n_values=(5,), loss_rates=(0.0, 0.1, 0.3), seeds=range(100, 103),
+        workers=1, slice_duration=5.0, max_time=20_000.0, gap_duration=100.0,
+    )
+    assert strip(run_loss_sweep("ssrmin", use_fastpath=True, **thm4)) == (
+        strip(run_loss_sweep("ssrmin", use_fastpath=False, **thm4)))
+
 
 def test_sweep_streams_cells_into_telemetry_session():
     from repro.messagepassing.fastpath.sweep import run_loss_sweep

@@ -83,6 +83,24 @@ def test_des_sweep_runs_per_cell(tmp_path):
         assert rec["result"]["min_tokens"] >= 1
 
 
+def test_per_cell_wall_seconds_time_each_cell_alone(tmp_path):
+    spec = SweepSpec(
+        name="w", kind="des", n_values=(4,), seeds=(0, 1),
+        loss_rates=(0.0, 0.2), max_time=4000.0, gap_duration=10.0,
+    )
+    throttle = 0.2
+    with RunStore(":memory:") as rs:
+        summary = run_sweep(spec, base_dir=str(tmp_path), run_store=rs,
+                            throttle=throttle)
+    walls = [rec["wall_seconds"] for rec in _cells(str(tmp_path), "w")]
+    assert len(walls) == 4 and all(w > 0.0 for w in walls)
+    # A cell's clock covers the cell alone: not the cells before it, not
+    # the throttle sleep after each one.  Cells run one after another, so
+    # their times cannot add up to more than the whole sweep took.
+    assert max(walls) < throttle
+    assert sum(walls) <= summary["wall_seconds"]
+
+
 def test_report_is_store_derived(tmp_path):
     base = str(tmp_path)
     spec = SweepSpec(name="rep", n_values=(5, 8), seeds=tuple(range(4)))
