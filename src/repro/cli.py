@@ -44,34 +44,19 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
-
-    engine = getattr(args, "engine", None)
-    if engine is not None:
-        # Pin the message-passing engine for every experiment in this
-        # invocation; the choice is recorded in each run manifest.
-        from repro.messagepassing.fastpath import mp_fastpath_override
-
-        engine_ctx = lambda: mp_fastpath_override(engine == "fast")
-    else:
-        engine_ctx = nullcontext
-    extra = {"mp_engine": engine} if engine is not None else None
-
     failures = 0
     for eid in args.ids:
         if args.no_telemetry:
             from repro.experiments import run_experiment
 
-            with engine_ctx():
-                result = run_experiment(eid, fast=args.fast)
+            result = run_experiment(eid, fast=args.fast)
         else:
             from repro.experiments.registry import run_experiment_instrumented
 
-            with engine_ctx():
-                result, run_dir = run_experiment_instrumented(
-                    eid, fast=args.fast, outdir=args.telemetry_dir,
-                    trace=not args.no_trace, extra=extra,
-                )
+            result, run_dir = run_experiment_instrumented(
+                eid, fast=args.fast, outdir=args.telemetry_dir,
+                trace=not args.no_trace,
+            )
         print(result.render())
         if not args.no_telemetry:
             artifacts = "manifest.json" + (
@@ -1085,11 +1070,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="skip manifest + trace artifacts")
     p_run.add_argument("--no-trace", action="store_true",
                        help="write the manifest but not the JSONL trace")
-    p_run.add_argument("--engine", choices=["fast", "reference"], default=None,
-                       help="message-passing engine: packed fastpath or "
-                            "reference DES (default: ambient "
-                            "REPRO_FASTPATH_MP; recorded in the manifest "
-                            "when set)")
     p_run.set_defaults(fn=_cmd_run)
 
     p_report = sub.add_parser("report", help="run everything, write EXPERIMENTS.md")

@@ -29,24 +29,10 @@ OnResult = Callable[[str, ExperimentResult, int, int], None]
 def _run_one(args) -> ExperimentResult:
     """Worker entry point (module-level for pickling).
 
-    ``args`` is ``(experiment_id, fast)`` or the extended
-    ``(experiment_id, fast, live_progress, telemetry_dir, trace,
-    use_fastpath)``.
+    ``args`` is ``(experiment_id, fast, live_progress, telemetry_dir,
+    trace)``.
     """
-    experiment_id, fast = args[0], args[1]
-    live_progress = args[2] if len(args) > 2 else False
-    telemetry_dir = args[3] if len(args) > 3 else None
-    trace = args[4] if len(args) > 4 else False
-    use_fastpath = args[5] if len(args) > 5 else True
-
-    if not use_fastpath:
-        # Workers are fresh processes, so flipping the process-wide override
-        # here scopes the opt-out to this experiment's entire run.
-        from repro.simulation.fastpath import fastpath_override
-
-        with fastpath_override(False):
-            return _run_one(
-                (experiment_id, fast, live_progress, telemetry_dir, trace))
+    experiment_id, fast, live_progress, telemetry_dir, trace = args
 
     subscribers = []
     if live_progress:
@@ -83,7 +69,6 @@ def run_experiments_parallel(
     telemetry_dir: Optional[str] = None,
     trace: bool = False,
     on_result: Optional[OnResult] = None,
-    use_fastpath: bool = True,
 ) -> List[ExperimentResult]:
     """Run experiments across ``workers`` processes; results in input order.
 
@@ -108,43 +93,19 @@ def run_experiments_parallel(
     on_result:
         Parent-side callback fired per completed experiment, in completion
         order.
-    use_fastpath:
-        ``False`` pins every worker to the naive simulation path (the
-        packed-kernel opt-out, e.g. for A/B timing or debugging).
     """
     ids = list(experiment_ids) if experiment_ids is not None else list_experiments()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     payloads = [
-        (eid, fast, live_progress, telemetry_dir, trace, use_fastpath)
-        for eid in ids
+        (eid, fast, live_progress, telemetry_dir, trace) for eid in ids
     ]
-    if workers == 1:
-        results = []
-        for k, payload in enumerate(payloads, start=1):
-            result = _run_one(payload)
-            results.append(result)
-            if on_result is not None:
-                on_result(payload[0], result, k, len(ids))
-        return results
-    results_by_index: Dict[int, ExperimentResult] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(_run_one, payload): i
-            for i, payload in enumerate(payloads)
-        }
-        pending = set(futures)
-        done_count = 0
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = futures[future]
-                result = future.result()
-                results_by_index[index] = result
-                done_count += 1
-                if on_result is not None:
-                    on_result(ids[index], result, done_count, len(ids))
-    return [results_by_index[i] for i in range(len(ids))]
+
+    def _on_task(index: int, result, done: int, total: int) -> None:
+        if on_result is not None:
+            on_result(ids[index], result, done, total)
+
+    return run_tasks_parallel(
+        _run_one, payloads, workers=workers, on_result=_on_task,
+    )
 
 
 def results_by_id(results: Sequence[ExperimentResult]) -> Dict[str, ExperimentResult]:
@@ -166,11 +127,10 @@ def run_tasks_parallel(
     """Fan arbitrary picklable tasks across a process pool, results in
     input order.
 
-    The generic sibling of :func:`run_experiments_parallel`: ``worker`` must
-    be a module-level callable (picklable) taking one payload.  Used by the
-    message-passing Monte-Carlo sweep engine and the parallel Theorem 4
-    runner, whose units of work are (seed, n, loss) cells rather than
-    registry experiment ids.
+    ``worker`` must be a module-level callable (picklable) taking one
+    payload.  Used by :func:`run_experiments_parallel` (one task per
+    registry experiment id) and by the sweep engine's per-cell mode
+    (:mod:`repro.sweeps.engine`, one task per grid cell).
 
     ``workers=1`` — or any caller already inside a daemonized pool worker,
     which cannot spawn children — degenerates to sequential in-process

@@ -12,7 +12,7 @@ from __future__ import annotations
 import importlib
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 
 @dataclass
@@ -141,7 +141,6 @@ def run_experiment_instrumented(
     outdir: str = "runs",
     trace: bool = True,
     subscribers: Sequence[Callable] = (),
-    extra: Optional[Dict[str, object]] = None,
 ) -> Tuple[ExperimentResult, str]:
     """Run one experiment under a telemetry session, with artifacts.
 
@@ -165,10 +164,6 @@ def run_experiment_instrumented(
         Extra event subscribers (e.g. a
         :class:`~repro.telemetry.progress.ProgressEmitter`) attached to
         the session for the duration of the run.
-    extra:
-        Additional key/value pairs recorded in the manifest's ``extra``
-        block alongside the defaults (e.g. the CLI's explicit
-        ``mp_engine`` choice).
 
     Returns
     -------
@@ -198,7 +193,7 @@ def run_experiment_instrumented(
             phases=stopwatch.splits,
             trace_file=trace_file,
             extra={"fast": fast, "title": result.title,
-                   "match": result.match, **(extra or {})},
+                   "match": result.match},
         )
     write_manifest(os.path.join(run_dir, "manifest.json"), manifest)
     return result, run_dir

@@ -269,43 +269,40 @@ def run_lem5(fast: bool = False) -> ExperimentResult:
 def run_thm4(fast: bool = False) -> ExperimentResult:
     """Theorem 4: chaos + message loss -> stabilization -> 1..2 tokens forever.
 
-    The seed grid fans across worker processes via the Monte-Carlo sweep
-    engine (:mod:`repro.messagepassing.fastpath.sweep`); each cell derives
-    its RNG stream from its own seed value alone, so the rows are
-    bit-identical to the historical serial loop at any worker count.  When
-    an ambient telemetry session is active the sweep stays in-process —
-    worker processes could not publish their network events into the
-    parent's bus, and run manifests must keep their full event streams.
+    The seed grid is a ``des`` sweep spec run by
+    :func:`repro.sweeps.run_cells` across worker processes; each cell
+    derives its RNG stream from its own seed value alone, so the rows are
+    bit-identical at any worker count.  When an ambient telemetry session
+    is active the sweep stays in-process — worker processes could not
+    publish their network events into the parent's bus, and run manifests
+    must keep their full event streams.
     """
     import os
 
-    from repro.messagepassing.fastpath.sweep import run_loss_sweep
+    from repro.sweeps import SweepSpec, run_cells
     from repro.telemetry.session import current_session
 
     seeds = range(3) if fast else range(10)
     post = 100.0 if fast else 300.0
     loss_rates = (0.0, 0.1, 0.3)
+    spec = SweepSpec(
+        name="thm4", kind="des", n_values=(5,), loss_rates=loss_rates,
+        seeds=tuple(s + 100 for s in seeds), slice_duration=5.0,
+        max_time=20_000.0, gap_duration=post,
+    )
     workers = 1 if current_session() is not None else max(
-        1, min(len(loss_rates) * len(seeds), os.cpu_count() or 1)
+        1, min(spec.total_cells(), os.cpu_count() or 1)
     )
-    cells = run_loss_sweep(
-        "ssrmin",
-        n_values=(5,),
-        loss_rates=loss_rates,
-        seeds=[s + 100 for s in seeds],
-        workers=workers,
-        slice_duration=5.0,
-        max_time=20_000.0,
-        gap_duration=post,
-    )
+    cells = run_cells(spec, workers=workers)
     rows = []
     ok = True
-    per_loss = len(list(seeds))
+    per_loss = len(spec.seeds)
     for li, loss in enumerate(loss_rates):
         group = cells[li * per_loss:(li + 1) * per_loss]
-        times = [c.stabilized_at for c in group]
+        times = [c["stabilized_at"] for c in group]
         bounds_ok = all(
-            c.min_tokens >= 1 and c.max_tokens <= 2 and c.zero_time == 0.0
+            c["min_tokens"] >= 1 and c["max_tokens"] <= 2
+            and c["zero_time"] == 0.0
             for c in group
         )
         s = summarize(times)

@@ -117,8 +117,12 @@ class CoherenceTracker:
 
         Returns the stabilization time; raises :class:`RuntimeError` if
         ``max_time`` elapses first (which would falsify Lemma 9 for this
-        run's parameters).
+        run's parameters), and :class:`ValueError` for a non-positive
+        ``slice_duration``, which would never advance the clock.
         """
+        if not slice_duration > 0.0:
+            raise ValueError(
+                f"slice_duration must be > 0, got {slice_duration}")
         if not self.network._started:
             self.network.start()
         self.poll()

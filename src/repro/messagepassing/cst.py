@@ -59,7 +59,7 @@ def transformed(
     timer_jitter: float = 1.0,
     seed: int = 0,
     token_predicate=None,
-    use_fastpath: Optional[bool] = None,
+    use_fastpath: bool = True,
 ) -> MessagePassingNetwork:
     """CST network starting legitimate and cache-coherent (Theorem 3 setup)."""
     states = initial_states or legitimate_initial_states(algorithm)
@@ -86,7 +86,7 @@ def transformed_from_chaos(
     duplicate_probability: float = 0.0,
     timer_interval: float = 5.0,
     timer_jitter: float = 1.0,
-    use_fastpath: Optional[bool] = None,
+    use_fastpath: bool = True,
 ) -> MessagePassingNetwork:
     """CST network with random states and random (incoherent) caches.
 

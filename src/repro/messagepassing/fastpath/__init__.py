@@ -33,76 +33,28 @@ suite in ``tests/messagepassing/test_mp_fastpath.py``; the repository
 benchmark's ``des_grid`` workload (``perfbench/``) reports which engine
 ran.
 
-Escape hatches mirror PR 2: every builder takes ``use_fastpath=...``, the
-``REPRO_FASTPATH_MP=0`` environment variable disables the packed engine
-process-wide, and :func:`mp_fastpath_override` scopes a forced choice.
-Algorithms opt in by returning a codec from ``mp_codec()`` (the base-class
-default returns ``None``, keeping the reference path).
+``build_cst_network``, ``transformed`` and ``transformed_from_chaos`` take
+``use_fastpath=False`` to select the reference DES; that argument is the
+only engine switch.  Algorithms opt in by returning a codec from
+``mp_codec()`` (the base-class default returns ``None``, keeping the
+reference path).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, Optional
 
-#: Process-wide default, read once at import: ``REPRO_FASTPATH_MP=0`` (or
-#: ``false``/``no``/``off``) pins every CST network to the reference DES
-#: without touching call sites.
-_ENV_DEFAULT = os.environ.get("REPRO_FASTPATH_MP", "1").strip().lower() not in (
-    "0", "false", "no", "off",
-)
-
-#: Scoped override installed by :func:`mp_fastpath_override` (None = defer
-#: to the environment default).
-_OVERRIDE: Optional[bool] = None
-
-
-def mp_fastpath_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve whether the packed message-passing engine should be used.
-
-    Precedence: an ``explicit`` per-call-site value (``use_fastpath=...``)
-    beats the scoped :func:`mp_fastpath_override`, which beats the
-    ``REPRO_FASTPATH_MP`` environment default (on).
-    """
-    if explicit is not None:
-        return explicit
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    return _ENV_DEFAULT
-
-
-@contextmanager
-def mp_fastpath_override(enabled: bool) -> Iterator[None]:
-    """Force the packed engine on or off for a dynamic scope.
-
-    Used by the differential tests, the A/B benchmark, and the CLI's
-    ``--engine fast|reference`` switch.
-    """
-    global _OVERRIDE
-    previous = _OVERRIDE
-    _OVERRIDE = enabled
-    try:
-        yield
-    finally:
-        _OVERRIDE = previous
-
-
-def resolve_mp_codec(algorithm, explicit: Optional[bool] = None):
-    """The algorithm's MP codec if the fastpath is enabled, else ``None``.
+def resolve_mp_codec(algorithm, use_fastpath: bool = True):
+    """The algorithm's MP codec, or ``None`` for the reference engine.
 
     The capability probe is ``algorithm.mp_codec()``: algorithms without a
     packed encoding (the base-class default, compositions, ...) return
-    ``None`` and every caller silently keeps the reference path.
+    ``None``, as does any call with ``use_fastpath=False``, and every
+    caller then keeps the reference path.
     """
-    if not mp_fastpath_enabled(explicit):
+    if not use_fastpath:
         return None
     probe = getattr(algorithm, "mp_codec", None)
     return probe() if callable(probe) else None
 
 
-__all__ = [
-    "mp_fastpath_enabled",
-    "mp_fastpath_override",
-    "resolve_mp_codec",
-]
+__all__ = ["resolve_mp_codec"]

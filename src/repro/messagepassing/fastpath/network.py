@@ -486,6 +486,7 @@ class FastCSTNetwork(MessagePassingNetwork):
         self._sync_in()
         self.bus.publish(
             "network", "net_start", self.queue.now,
+            engine=type(self).__name__,
             algorithm=type(self.algorithm).__name__,
             n=self._n,
             K=getattr(self.algorithm, "K", None),

@@ -122,6 +122,7 @@ class MessagePassingNetwork:
         self._started = True
         self.bus.publish(
             "network", "net_start", self.queue.now,
+            engine=type(self).__name__,
             algorithm=type(self.algorithm).__name__,
             n=len(self.nodes),
             K=getattr(self.algorithm, "K", None),
@@ -223,7 +224,7 @@ def build_cst_network(
     dwell_model: Optional[DelayModel] = FixedDelay(0.5),
     link_delay_overrides: Optional[Dict[tuple, DelayModel]] = None,
     duplicate_probability: float = 0.0,
-    use_fastpath: Optional[bool] = None,
+    use_fastpath: bool = True,
 ) -> MessagePassingNetwork:
     """Apply the CST transform (Algorithm 4) and wire up the network.
 
@@ -263,11 +264,10 @@ def build_cst_network(
         delivered twice at its (single) arrival instant, modelling a
         link-layer retransmit race without violating capacity one.
     use_fastpath:
-        Explicit choice of the packed message-passing engine
-        (:class:`~repro.messagepassing.fastpath.network.FastCSTNetwork`).
-        ``None`` (the default) defers to the scoped override /
-        ``REPRO_FASTPATH_MP`` environment default; either way the packed
-        engine is only used when the algorithm provides an
+        Build the packed message-passing engine
+        (:class:`~repro.messagepassing.fastpath.network.FastCSTNetwork`)
+        when possible (the default); ``False`` selects the reference DES.
+        The packed engine is only used when the algorithm provides an
         ``mp_codec()`` and no custom ``token_predicate`` is installed —
         otherwise the reference object-graph engine is built, silently.
     """

@@ -67,14 +67,14 @@ def converge(
     daemon: Daemon,
     initial: Any,
     max_steps: Optional[int] = None,
-    use_fastpath: Optional[bool] = None,
+    use_fastpath: bool = True,
 ) -> ConvergenceResult:
     """Run from ``initial`` until the configuration is legitimate.
 
     ``max_steps`` defaults to a generous multiple of the proven O(n^2) bound
     so non-convergence within the budget is strong evidence of a bug, not an
-    unlucky schedule.  ``use_fastpath`` forces the packed kernel on/off
-    (default: probe the algorithm).
+    unlucky schedule.  ``use_fastpath=False`` selects the naive path
+    (default: the packed kernel when the algorithm provides one).
     """
     n = algorithm.n
     if max_steps is None:
@@ -202,7 +202,7 @@ def convergence_steps(
     trials: int,
     seed: int = 0,
     max_steps: Optional[int] = None,
-    use_fastpath: Optional[bool] = None,
+    use_fastpath: bool = True,
 ) -> List[int]:
     """Measure convergence steps over ``trials`` random initial configurations.
 

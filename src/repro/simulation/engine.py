@@ -149,9 +149,8 @@ class SharedMemorySimulator:
         by :func:`~repro.telemetry.session.telemetry_session` (and is a
         near-free no-op when none is active).
     use_fastpath:
-        ``True``/``False`` force the packed kernel path on/off; the default
-        ``None`` uses it whenever ``algorithm.fast_kernel()`` provides one
-        (subject to the global ``REPRO_FASTPATH`` switch).
+        Use the packed kernel whenever ``algorithm.fast_kernel()`` provides
+        one (the default); ``False`` selects the naive reference loop.
     """
 
     def __init__(
@@ -160,7 +159,7 @@ class SharedMemorySimulator:
         daemon: Daemon,
         monitors: Sequence[Monitor] = (),
         telemetry: Optional[TelemetrySession] = None,
-        use_fastpath: Optional[bool] = None,
+        use_fastpath: bool = True,
     ):
         self.algorithm = algorithm
         self.daemon = daemon
@@ -198,6 +197,7 @@ class SharedMemorySimulator:
         # Telemetry wiring is resolved once per run; with no active session
         # the per-step overhead is a single ``is not None`` check.
         tel = self.telemetry if self.telemetry is not None else current_session()
+        kernel = resolve_kernel(alg, self.use_fastpath)
         tr: Optional[_RunTelemetry] = None
         if tel is not None:
             tel.bus.publish(
@@ -207,6 +207,7 @@ class SharedMemorySimulator:
                 K=getattr(alg, "K", None),
                 daemon=self.daemon.describe(),
                 max_steps=max_steps,
+                engine="naive" if kernel is None else "packed",
             )
             tr = _RunTelemetry(tel, self.daemon.name)
 
@@ -219,7 +220,6 @@ class SharedMemorySimulator:
         if stop_when is not None and stop_when(config):
             return self._finish(config, 0, False, True, execution, tr, tel)
 
-        kernel = resolve_kernel(alg, self.use_fastpath)
         if kernel is not None:
             return self._run_fast(
                 kernel, config, max_steps, stop_when, execution, tr, tel)

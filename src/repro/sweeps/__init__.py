@@ -1,7 +1,7 @@
 """First-class phase-diagram sweeps over the unified kernel layer.
 
-The package generalizes the one-off seeds × n × loss grid of
-:mod:`repro.messagepassing.fastpath.sweep` into a sweep *engine*:
+The package is the one sweep path: every seeds × n × loss (or daemon)
+grid, Theorem 4's loss sweep included, runs through its engine:
 
 * :mod:`repro.sweeps.spec` — typed grid specifications
   (n × loss × delay × duplication × daemon-family) with deterministic
@@ -9,6 +9,7 @@ The package generalizes the one-off seeds × n × loss grid of
 * :mod:`repro.sweeps.engine` — batched-cell execution (homogeneous cell
   groups vectorized through :mod:`repro.kernels.batched`) and per-cell
   fallback, with per-cell-seed determinism making the two bit-identical;
+  :func:`run_sweep` checkpoints each cell, :func:`run_cells` returns them;
 * :mod:`repro.sweeps.store` — resumable checkpoints: JSONL write-ahead
   cells plus the RunStore's v3 ``sweeps``/``sweep_cells`` manifest index;
 * :mod:`repro.sweeps.report` — store-derived aggregation and the
@@ -17,7 +18,7 @@ The package generalizes the one-off seeds × n × loss grid of
 CLI surface: ``repro sweep run|resume|status|report``.
 """
 
-from repro.sweeps.engine import resume_sweep, run_sweep
+from repro.sweeps.engine import resume_sweep, run_cells, run_sweep
 from repro.sweeps.report import build_sweep_report, render_report, render_status
 from repro.sweeps.spec import CellSpec, SweepSpec
 from repro.sweeps.store import SweepStore, sweep_dir
@@ -30,6 +31,7 @@ __all__ = [
     "render_report",
     "render_status",
     "resume_sweep",
+    "run_cells",
     "run_sweep",
     "sweep_dir",
 ]

@@ -26,12 +26,15 @@ completion:
 A killed run (SIGTERM mid-grid) therefore loses nothing but in-flight
 cells; ``resume`` re-runs exactly the missing set and, because cells are
 pure functions of their parameters, lands bit-identical results.
+
+:func:`run_cells` is the store-free form of step 2: it runs a whole grid
+the same way and returns the results in grid order (``run_thm4`` uses it).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.observability.store import RunStore
 from repro.sweeps.spec import CellSpec, SweepSpec
@@ -145,6 +148,90 @@ def _batch_groups(
     return sorted(groups.items())
 
 
+def _execute(
+    spec: SweepSpec,
+    cells: Sequence[CellSpec],
+    batched: bool,
+    workers: int,
+    on_cell: Callable[[CellSpec, Dict[str, Any], str, float], None],
+) -> None:
+    """Run ``cells`` of ``spec``; ``on_cell(cell, result, engine, wall)``
+    fires in the parent as each one finishes.
+
+    Batched mode advances homogeneous convergence groups in lockstep
+    through the kernel backend; per-cell mode runs one task per cell
+    through :func:`~repro.experiments.parallel.run_tasks_parallel`.  Both
+    import their callees here, at call time, so a patched module
+    attribute reaches them.
+    """
+    if batched:
+        from repro.kernels.batched import run_convergence_cells
+
+        for (n, daemon), group in _batch_groups(cells):
+            for lo in range(0, len(group), GROUP_CHUNK):
+                chunk = group[lo:lo + GROUP_CHUNK]
+                g0 = time.perf_counter()
+                results = run_convergence_cells(
+                    n, [c.seed for c in chunk], daemon,
+                    budget=spec.max_steps or None,
+                )
+                per_cell_wall = (time.perf_counter() - g0) / len(chunk)
+                for cell, result in zip(chunk, results):
+                    on_cell(cell, result, "batched", per_cell_wall)
+        return
+
+    from repro.experiments.parallel import run_tasks_parallel
+
+    if spec.kind == "convergence":
+        worker = _convergence_cell_worker
+        payloads = [
+            (int(c.params["n"]), str(c.params["daemon"]), c.seed,
+             spec.max_steps)
+            for c in cells
+        ]
+    else:
+        worker = _des_cell_worker
+        payloads = [
+            (spec.algorithm, int(c.params["n"]), float(c.params["loss"]),
+             float(c.params["delay"]), float(c.params["duplication"]),
+             c.seed, spec.slice_duration, spec.max_time, spec.gap_duration)
+            for c in cells
+        ]
+
+    def _on_result(index, timed, _done, _total):
+        result, wall = timed
+        on_cell(cells[index], result, "per-cell", wall)
+
+    run_tasks_parallel(
+        _timed, [(worker, p) for p in payloads],
+        workers=workers, on_result=_on_result,
+    )
+
+
+def _batchable(spec: SweepSpec) -> bool:
+    """Whether the spec's cells have a batched (vectorized) backend."""
+    return spec.kind == "convergence" and spec.algorithm == "ssrmin"
+
+
+def run_cells(spec: SweepSpec, *, workers: int = 1) -> List[Dict[str, Any]]:
+    """Run every cell of ``spec`` without a store; results in grid order.
+
+    The same execution as :func:`run_sweep` (batched where the kind has a
+    batched backend, else one task per cell over ``workers`` processes),
+    minus checkpoints, the run store and progress events.  Each cell is a
+    pure function of its parameters, so the results equal the ``result``
+    fields a :func:`run_sweep` of the same spec records.
+    """
+    cells = spec.cells()
+    results: List[Any] = [None] * len(cells)
+
+    def _collect(cell, result, _engine, _wall):
+        results[cell.index] = result
+
+    _execute(spec, cells, _batchable(spec), workers, _collect)
+    return results
+
+
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -184,7 +271,7 @@ def run_sweep(
 
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    batchable = spec.kind == "convergence" and spec.algorithm == "ssrmin"
+    batchable = _batchable(spec)
     if mode == "batched" and not batchable:
         raise ValueError(
             f"kind {spec.kind!r}/{spec.algorithm} has no batched backend; "
@@ -220,51 +307,7 @@ def run_sweep(
                 if throttle > 0.0:
                     time.sleep(throttle)
 
-            if use_batched:
-                for (n, daemon), group in _batch_groups(missing):
-                    from repro.kernels.batched import run_convergence_cells
-
-                    for lo in range(0, len(group), GROUP_CHUNK):
-                        chunk = group[lo:lo + GROUP_CHUNK]
-                        g0 = time.perf_counter()
-                        results = run_convergence_cells(
-                            n, [c.seed for c in chunk], daemon,
-                            budget=spec.max_steps or None,
-                        )
-                        per_cell_wall = (
-                            (time.perf_counter() - g0) / len(chunk)
-                        )
-                        for cell, result in zip(chunk, results):
-                            _record(cell, result, "batched", per_cell_wall)
-            else:
-                from repro.experiments.parallel import run_tasks_parallel
-
-                if spec.kind == "convergence":
-                    worker = _convergence_cell_worker
-                    payloads = [
-                        (int(c.params["n"]), str(c.params["daemon"]),
-                         c.seed, spec.max_steps)
-                        for c in missing
-                    ]
-                else:
-                    worker = _des_cell_worker
-                    payloads = [
-                        (spec.algorithm, int(c.params["n"]),
-                         float(c.params["loss"]), float(c.params["delay"]),
-                         float(c.params["duplication"]), c.seed,
-                         spec.slice_duration, spec.max_time,
-                         spec.gap_duration)
-                        for c in missing
-                    ]
-
-                def _on_result(index, timed, _done, _total):
-                    result, wall = timed
-                    _record(missing[index], result, "per-cell", wall)
-
-                run_tasks_parallel(
-                    _timed, [(worker, p) for p in payloads],
-                    workers=workers, on_result=_on_result,
-                )
+            _execute(spec, missing, use_batched, workers, _record)
 
             wall = time.perf_counter() - t0
             store.finish(done, wall)
@@ -318,4 +361,4 @@ def resume_sweep(
             run_store.close()
 
 
-__all__ = ["GROUP_CHUNK", "MODES", "resume_sweep", "run_sweep"]
+__all__ = ["GROUP_CHUNK", "MODES", "resume_sweep", "run_cells", "run_sweep"]

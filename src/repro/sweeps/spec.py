@@ -121,6 +121,18 @@ class SweepSpec:
             raise ValueError("ring sizes must be >= 3")
         for d in self.daemons:
             parse_daemon(d)
+        # Reject what a cell would only fail on (or loop forever on) after
+        # the sweep's spec and row are already on disk.
+        for fld in ("loss_rates", "duplication_rates"):
+            if not all(0.0 <= p < 1.0 for p in getattr(self, fld)):
+                raise ValueError(f"{fld} must lie in [0, 1)")
+        if not all(d > 0.0 for d in self.delay_scales):
+            raise ValueError("delay_scales must be > 0")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
+        for fld in ("slice_duration", "max_time", "gap_duration"):
+            if not getattr(self, fld) > 0.0:
+                raise ValueError(f"{fld} must be > 0")
         # Axes foreign to the kind must stay at their defaults.
         defaults = {
             "daemons": ("bernoulli:0.5",), "loss_rates": (0.0,),

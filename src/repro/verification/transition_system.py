@@ -52,8 +52,8 @@ class TransitionSystem:
         fine here because self-stabilizing ring algorithms rarely have many
         simultaneously enabled processes in small instances).
     use_fastpath:
-        Force the packed kernel on/off; default probes
-        ``algorithm.fast_kernel()`` and falls back to the naive path.
+        Use ``algorithm.fast_kernel()`` when it provides one (the default);
+        ``False`` selects the naive path.
     """
 
     def __init__(
@@ -61,7 +61,7 @@ class TransitionSystem:
         algorithm: RingAlgorithm,
         daemon: str = "distributed",
         max_selection: Optional[int] = None,
-        use_fastpath: Optional[bool] = None,
+        use_fastpath: bool = True,
     ):
         if daemon not in ("central", "distributed"):
             raise ValueError(f"daemon must be 'central' or 'distributed', got {daemon!r}")

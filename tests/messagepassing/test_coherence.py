@@ -59,6 +59,14 @@ class TestCoherenceTracker:
         t = tracker.run_until_stabilized(slice_duration=5.0, max_time=20_000)
         assert t >= 0.0
 
+    @pytest.mark.parametrize("slice_duration", [0.0, -1.0])
+    def test_non_positive_slice_rejected(self, slice_duration):
+        """A slice that never advances the clock would loop forever."""
+        net = transformed_from_chaos(SSRmin(5, 6), seed=3)
+        tracker = CoherenceTracker(net)
+        with pytest.raises(ValueError, match="slice_duration"):
+            tracker.run_until_stabilized(slice_duration=slice_duration)
+
     def test_event_driven_detection(self):
         """The tracker hooks network observations, so fleeting coherent
         instants between polls are caught."""

@@ -11,12 +11,15 @@ Four layers of evidence that :class:`FastCSTNetwork` is the reference DES:
   produce bit-identical observables (token timeline, states, caches,
   message statistics, event counts, final RNG state) on both engines;
 * **golden traces** — the frozen fig13 corpus replays record-for-record
-  with the fastpath forced on and forced off;
-* **escape hatches** — the ``use_fastpath`` kwarg, the scoped override and
-  the environment default compose with the documented precedence, and
-  out-of-scope setups (custom token predicates, codec-less algorithms,
-  tiny bidirectional rings, unpackable states) silently keep the
-  reference engine.
+  on the packed engine and on the reference engine;
+* **dispatch boundaries** — ``use_fastpath=False`` (the one engine switch)
+  builds the reference engine, and out-of-scope setups (custom token
+  predicates, codec-less algorithms, tiny bidirectional rings, unpackable
+  states) silently keep it.
+
+Whole-run comparisons that go through code with no ``use_fastpath``
+argument (the fig13 golden run, sweep cells) select the reference engine
+by taking away SSRmin's packed codec (``mp_codec`` returning ``None``).
 """
 
 import json
@@ -35,15 +38,11 @@ from repro.messagepassing.cst import (
     transformed,
     transformed_from_chaos,
 )
-from repro.messagepassing.fastpath import (
-    mp_fastpath_enabled,
-    mp_fastpath_override,
-    resolve_mp_codec,
-)
 from repro.messagepassing.fastpath.codecs import DijkstraMPCodec, SSRminMPCodec
 from repro.messagepassing.fastpath.network import FastCSTNetwork
 from repro.messagepassing.links import ExponentialDelay, UniformDelay
-from repro.messagepassing.network import MessagePassingNetwork, build_cst_network
+from repro.messagepassing.network import build_cst_network
+from repro.telemetry import telemetry_session
 
 
 def fingerprint(net):
@@ -63,6 +62,17 @@ def fingerprint(net):
             for node in net.nodes
         ),
     }
+
+
+def use_reference_engine(monkeypatch):
+    """Take away SSRmin's packed codec: every SSRmin network is reference."""
+    monkeypatch.setattr(SSRmin, "mp_codec", lambda self: None)
+
+
+def net_engines(session):
+    """The network classes that ran under ``session`` (from ``net_start``)."""
+    return {d["engine"] for d in session.run_descriptors
+            if d["kind"] == "net_start"}
 
 
 def assert_lockstep(fast, ref):
@@ -231,48 +241,23 @@ CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_fig13_golden_replays_under_both_engines(enabled):
+def test_fig13_golden_replays_under_both_engines(enabled, monkeypatch):
     from repro.experiments.golden import FIG13_FILE, fig13_timeline_records, read_jsonl
 
     frozen = read_jsonl(os.path.join(CORPUS, FIG13_FILE))
-    with mp_fastpath_override(enabled):
+    if not enabled:
+        use_reference_engine(monkeypatch)
+    with telemetry_session() as session:
         fresh = [json.loads(json.dumps(r, sort_keys=True))
                  for r in fig13_timeline_records()]
     assert fresh == frozen
+    assert net_engines(session) == {
+        "FastCSTNetwork" if enabled else "MessagePassingNetwork"}
 
 
 # ---------------------------------------------------------------------------
-# escape hatches and dispatch boundaries
+# dispatch boundaries
 # ---------------------------------------------------------------------------
-
-def test_explicit_kwarg_beats_override():
-    with mp_fastpath_override(False):
-        assert mp_fastpath_enabled(True) is True
-        net = transformed(SSRmin(4, 5), use_fastpath=True)
-        assert isinstance(net, FastCSTNetwork)
-    with mp_fastpath_override(True):
-        assert mp_fastpath_enabled(False) is False
-        net = transformed(SSRmin(4, 5), use_fastpath=False)
-        assert not isinstance(net, FastCSTNetwork)
-
-
-def test_override_beats_env_default():
-    with mp_fastpath_override(False):
-        assert mp_fastpath_enabled() is False
-        assert resolve_mp_codec(SSRmin(4, 5)) is None
-        assert not isinstance(transformed(SSRmin(4, 5)), FastCSTNetwork)
-    # default environment in the test suite leaves the fastpath on
-    assert isinstance(transformed(SSRmin(4, 5)), FastCSTNetwork)
-
-
-def test_override_nests_and_restores():
-    assert mp_fastpath_enabled() is True
-    with mp_fastpath_override(False):
-        with mp_fastpath_override(True):
-            assert mp_fastpath_enabled() is True
-        assert mp_fastpath_enabled() is False
-    assert mp_fastpath_enabled() is True
-
 
 def test_codecless_algorithm_keeps_reference_engine():
     from repro.algorithms.base import RingAlgorithm
@@ -340,54 +325,35 @@ def test_projection_codec_agrees_with_reference_path():
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo sweep engine
+# Theorem-4 loss sweeps (repro.sweeps ``des`` cells)
 # ---------------------------------------------------------------------------
 
-def test_sweep_rejects_unknown_algorithm():
-    from repro.messagepassing.fastpath.sweep import run_loss_sweep
+def test_sweep_grid_order_and_engine_independence(monkeypatch):
+    from dataclasses import replace
 
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        run_loss_sweep("nope", workers=1)
+    from repro.sweeps import SweepSpec, run_cells
 
-
-def test_sweep_grid_order_and_engine_independence():
-    from repro.messagepassing.fastpath.sweep import run_loss_sweep
-
-    kwargs = dict(
-        n_values=(4,), loss_rates=(0.0, 0.2), seeds=range(2),
-        workers=1, gap_duration=20.0,
-    )
-    fast = run_loss_sweep("ssrmin", use_fastpath=True, **kwargs)
-    ref = run_loss_sweep("ssrmin", use_fastpath=False, **kwargs)
-    assert [(c.n, c.loss, c.seed) for c in fast] == [
-        (4, 0.0, 0), (4, 0.0, 1), (4, 0.2, 0), (4, 0.2, 1),
-    ]
-    strip = lambda cells: [
-        {k: v for k, v in c.to_json().items() if k != "wall_seconds"}
-        for c in cells
-    ]
-    assert strip(fast) == strip(ref)
-
+    grid = SweepSpec(name="grid", kind="des", n_values=(4,),
+                     loss_rates=(0.0, 0.2), seeds=(0, 1), gap_duration=20.0)
     # run_thm4's fast-mode grid; its rows are a pure function of these cells.
-    thm4 = dict(
-        n_values=(5,), loss_rates=(0.0, 0.1, 0.3), seeds=range(100, 103),
-        workers=1, slice_duration=5.0, max_time=20_000.0, gap_duration=100.0,
-    )
-    assert strip(run_loss_sweep("ssrmin", use_fastpath=True, **thm4)) == (
-        strip(run_loss_sweep("ssrmin", use_fastpath=False, **thm4)))
+    thm4 = SweepSpec(name="thm4", kind="des", n_values=(5,),
+                     loss_rates=(0.0, 0.1, 0.3), seeds=(100, 101, 102),
+                     slice_duration=5.0, max_time=20_000.0, gap_duration=100.0)
 
+    def run(spec):
+        with telemetry_session() as session:
+            cells = run_cells(spec)
+        return cells, net_engines(session)
 
-def test_sweep_streams_cells_into_telemetry_session():
-    from repro.messagepassing.fastpath.sweep import run_loss_sweep
-    from repro.telemetry import telemetry_session
+    fast = {spec.name: run(spec) for spec in (grid, thm4)}
+    # Grid order: each result is its cell run on its own.
+    for cell, result in zip(grid.cells(), fast["grid"][0]):
+        alone = replace(grid, loss_rates=(cell.params["loss"],),
+                        seeds=(cell.seed,))
+        assert run_cells(alone) == [result]
 
-    seen = []
-    with telemetry_session() as session:
-        session.subscribe(lambda ev: seen.append(ev))
-        cells = run_loss_sweep(
-            "ssrmin", n_values=(4,), loss_rates=(0.1,), seeds=range(2),
-            workers=1, gap_duration=10.0,
-        )
-    sweep_events = [ev for ev in seen if ev.kind == "sweep_cell"]
-    assert len(sweep_events) == len(cells) == 2
-    assert {ev.payload["seed"] for ev in sweep_events} == {0, 1}
+    use_reference_engine(monkeypatch)
+    for spec in (grid, thm4):
+        cells, engines = run(spec)
+        assert engines == {"MessagePassingNetwork"}
+        assert fast[spec.name] == (cells, {"FastCSTNetwork"})

@@ -36,12 +36,7 @@ from repro.daemons.distributed import (
 )
 from repro.simulation.convergence import converge
 from repro.simulation.engine import SharedMemorySimulator
-from repro.simulation.fastpath import (
-    PackedView,
-    fastpath_enabled,
-    fastpath_override,
-    resolve_kernel,
-)
+from repro.simulation.fastpath import PackedView, resolve_kernel
 from repro.simulation.fastpath.ssrmin_kernel import RULE_TABLE
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.session import telemetry_session
@@ -101,15 +96,7 @@ class TestCapabilityProbe:
     def test_resolve_kernel_explicit_off(self, ssrmin5):
         assert resolve_kernel(ssrmin5, False) is None
         assert resolve_kernel(ssrmin5, True) is not None
-
-    def test_override_context_manager(self, ssrmin5):
-        assert fastpath_enabled() is True
-        with fastpath_override(False):
-            assert fastpath_enabled() is False
-            assert resolve_kernel(ssrmin5) is None
-            # Explicit call-site choice beats the scoped override.
-            assert resolve_kernel(ssrmin5, True) is not None
-        assert fastpath_enabled() is True
+        assert resolve_kernel(ssrmin5) is not None
 
     def test_kernels_are_fresh_per_call(self, ssrmin5):
         assert ssrmin5.fast_kernel() is not ssrmin5.fast_kernel()

@@ -12,6 +12,7 @@ from repro.sweeps import (
     render_report,
     render_status,
     resume_sweep,
+    run_cells,
     run_sweep,
 )
 from repro.sweeps.store import sweep_dir
@@ -40,6 +41,21 @@ def test_batched_and_per_cell_modes_are_bit_identical(tmp_path):
                       _cells(str(tmp_path / "b"), "grid")):
         assert _identity(ra) == _identity(rb)
         assert ra["engine"] == "batched" and rb["engine"] == "per-cell"
+
+
+@pytest.mark.parametrize("spec", [
+    SweepSpec(name="conv", n_values=(5, 8), seeds=tuple(range(4)),
+              daemons=("bernoulli:0.5", "central")),
+    SweepSpec(name="des", kind="des", n_values=(4,), seeds=(0, 1),
+              loss_rates=(0.0, 0.2), max_time=4000.0, gap_duration=10.0),
+], ids=["convergence", "des"])
+def test_run_cells_equals_run_sweep_checkpoints(tmp_path, spec):
+    run_sweep(spec, base_dir=str(tmp_path))
+    recorded = _cells(str(tmp_path), spec.name)
+    assert [r["index"] for r in recorded] == list(range(spec.total_cells()))
+    # Wall time is the one field that differs between runs; it is not in
+    # the cell's result.
+    assert run_cells(spec) == [r["result"] for r in recorded]
 
 
 def test_resume_runs_only_missing_cells(tmp_path):

@@ -46,6 +46,18 @@ def test_group_params_excludes_seed():
     # Foreign axes must stay at defaults.
     {"name": "s", "kind": "convergence", "loss_rates": (0.5,)},
     {"name": "s", "kind": "des", "daemons": ("central",)},
+    # Values a cell would only fail on (or hang on) after the sweep's
+    # spec and store row are written.
+    {"name": "s", "kind": "des", "loss_rates": (1.5,)},
+    {"name": "s", "kind": "des", "loss_rates": (1.0,)},
+    {"name": "s", "kind": "des", "loss_rates": (-0.1,)},
+    {"name": "s", "kind": "des", "duplication_rates": (2.0,)},
+    {"name": "s", "kind": "des", "delay_scales": (0.0,)},
+    {"name": "s", "kind": "des", "delay_scales": (-1.0,)},
+    {"name": "s", "max_steps": -1},
+    {"name": "s", "kind": "des", "slice_duration": 0.0},
+    {"name": "s", "kind": "des", "max_time": 0.0},
+    {"name": "s", "kind": "des", "gap_duration": -5.0},
 ])
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(ValueError):

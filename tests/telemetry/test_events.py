@@ -84,6 +84,18 @@ class TestEngineEventOrdering:
         assert kinds[-1] == "run_end"
         assert all(k in ("step", "census") for k in kinds[1:-1])
 
+    def test_run_start_names_the_engine(self):
+        for use_fastpath, engine in ((True, "packed"), (False, "naive")):
+            with telemetry_session() as session:
+                alg = SSRmin(5, 6)
+                sim = SharedMemorySimulator(alg, SynchronousDaemon(),
+                                            use_fastpath=use_fastpath)
+                sim.run(alg.initial_configuration(), max_steps=5,
+                        record=False)
+            (start,) = [d for d in session.run_descriptors
+                        if d["kind"] == "run_start"]
+            assert start["engine"] == engine
+
     def test_step_events_carry_moves(self):
         events, result, _ = self.run_engine()
         steps = [e for e in events if e.kind == "step"]

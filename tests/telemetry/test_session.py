@@ -60,6 +60,12 @@ class TestNetworkBridge:
         assert d["n"] == 5
         assert d["K"] == 6
         assert d["seed"] == 5
+        assert d["engine"] == "FastCSTNetwork"
+        with telemetry_session() as reference:
+            transformed(SSRmin(5, 6), seed=5, use_fastpath=False).run(1.0)
+        (ref,) = [d for d in reference.run_descriptors
+                  if d["kind"] == "net_start"]
+        assert ref["engine"] == "MessagePassingNetwork"
 
 
 class TestMessageTraceParity:
