@@ -16,7 +16,8 @@
 * :mod:`repro.analysis.fairness` — schedule starvation analysis (how unfair
   was the daemon, really).
 * :mod:`repro.analysis.distributions` — two-sample statistical tests for
-  comparing step/time distributions (scipy).
+  comparing step/time distributions (:func:`compare_distributions` needs
+  scipy, which only the ``test`` extra installs).
 """
 
 from repro.analysis.statistics import Summary, summarize

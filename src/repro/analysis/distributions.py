@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,10 @@ def compare_distributions(
     a: Sequence[float], b: Sequence[float]
 ) -> DistributionComparison:
     """Run KS + Mann-Whitney + Cliff's delta on two samples."""
+    # Imported here: scipy is a test-only dependency, and importing
+    # repro.analysis must not need it.
+    from scipy import stats
+
     xa = np.asarray(a, dtype=float)
     xb = np.asarray(b, dtype=float)
     if xa.size < 2 or xb.size < 2:

@@ -5,7 +5,8 @@ Commands
 * ``list`` — list the registered experiments;
 * ``run <id> [...]`` — run experiments and print their tables; each run
   writes a reproducibility manifest + JSONL event trace under
-  ``runs/<id>/`` (``--no-telemetry`` to skip);
+  ``runs/<id>/`` and records the manifest in ``runs/store.sqlite``
+  (``--no-telemetry`` to skip both);
 * ``report [-o PATH]`` — run everything and write EXPERIMENTS.md;
 * ``stats <trace.jsonl | manifest.json>`` — replay a telemetry artifact
   and print its metrics summary;
@@ -23,7 +24,7 @@ Commands
 * ``sweep run|resume|status|report`` — resumable phase-diagram sweeps
   (batched cells through the unified kernel layer; see
   ``docs/PERFORMANCE.md``);
-* ``runs list|show|query|backfill`` — the persistent sqlite run store;
+* ``runs list|show|query`` — the persistent sqlite run store;
 * ``slo report`` — paper-grounded service-level objectives graded against
   the store (see ``docs/OBSERVABILITY.md``).
 """
@@ -510,7 +511,7 @@ def _open_store(args: argparse.Namespace, missing_ok: bool = False):
     if not missing_ok and args.store != ":memory:" \
             and not os.path.exists(args.store):
         print(f"error: no run store at {args.store} "
-              f"(record one with 'repro live run' or 'repro runs backfill')",
+              f"(record one with 'repro run <id>' or 'repro live run')",
               file=sys.stderr)
         return None
     return RunStore(args.store)
@@ -618,31 +619,6 @@ def _cmd_runs_query(args: argparse.Namespace) -> int:
         print("  ".join(f"{k}={v}" for k, v in row.items()))
     print(f"({len(rows)} row(s))")
     return 0
-
-
-def _cmd_runs_backfill(args: argparse.Namespace) -> int:
-    from repro.observability import RunStore, backfill_runs
-
-    with RunStore(args.store) as store:
-        report = backfill_runs(
-            store, base_dir=args.dir, prune_empty=args.prune_empty)
-        counts = store.counts()
-    print(report.summary())
-    for run_id in report.imported:
-        print(f"  imported {run_id}")
-    for path in report.orphans:
-        print(f"  orphan   {path}")
-    for path in report.pruned:
-        print(f"  pruned   {path}")
-    for warning in report.warnings:
-        print(f"  warning  {warning}")
-    for error in report.errors:
-        print(f"  error    {error}")
-    print(
-        f"store now holds {counts['runs']} runs / {counts['epochs']} epochs "
-        f"/ {counts['incidents']} incidents ({args.store})"
-    )
-    return 1 if report.errors else 0
 
 
 def _cmd_slo_report(args: argparse.Namespace) -> int:
@@ -806,6 +782,7 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
     if args.no_telemetry:
         result = run_campaign(**kwargs)
     else:
+        from repro.observability import RunStore, ingest_manifest
         from repro.telemetry import (
             build_manifest, telemetry_session, write_manifest,
         )
@@ -822,7 +799,11 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
             trace_file=trace_path,
             extra={"campaign": result.to_json()},
         )
-        write_manifest(os.path.join(run_dir, "manifest.json"), manifest)
+        manifest_path = write_manifest(
+            os.path.join(run_dir, "manifest.json"), manifest)
+        with RunStore(os.path.join(args.telemetry_dir,
+                                   "store.sqlite")) as store:
+            ingest_manifest(store, manifest, source=manifest_path)
         print(f"telemetry: {run_dir}/ (manifest.json, trace.jsonl)")
 
     print(result.summary())
@@ -1413,13 +1394,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_top.set_defaults(fn=_cmd_top)
 
     p_runs = sub.add_parser(
-        "runs", help="the persistent run store: list, show, query, backfill"
+        "runs", help="the persistent run store: list, show, query"
     )
     runs_sub = p_runs.add_subparsers(dest="runs_command", required=True)
 
     pr_list = runs_sub.add_parser("list", help="list recorded runs")
     pr_list.add_argument("--kind", default=None,
-                         choices=["live", "experiment", "sweep_cell"])
+                         choices=["live", "experiment"])
     pr_list.add_argument("--algorithm", default=None,
                          help="substring filter, e.g. ssrmin")
     pr_list.add_argument("--limit", type=int, default=None)
@@ -1441,17 +1422,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     pr_query.add_argument("--json", action="store_true")
     _store_args(pr_query, toggle=False)
     pr_query.set_defaults(fn=_cmd_runs_query)
-
-    pr_backfill = runs_sub.add_parser(
-        "backfill", help="import the runs/ JSONL tree into the store"
-    )
-    pr_backfill.add_argument("--dir", default="runs", metavar="DIR",
-                             help="run-directory tree to import")
-    pr_backfill.add_argument("--prune-empty", action="store_true",
-                             help="delete orphan dirs holding only empty "
-                                  "files")
-    _store_args(pr_backfill, toggle=False)
-    pr_backfill.set_defaults(fn=_cmd_runs_backfill)
 
     p_slo = sub.add_parser(
         "slo", help="service-level objectives graded against the run store"

@@ -148,6 +148,9 @@ def run_experiment_instrumented(
     ``trace.jsonl`` (when ``trace``) so the result is reproducible from
     its manifest: seeds, daemon descriptors, wall-clock phases, package
     version and a full metrics snapshot are recorded next to the table.
+    The manifest is also recorded as a ``runs`` row in the run store
+    ``<outdir>/store.sqlite``.  An unknown id raises :class:`KeyError`
+    before anything is written.
 
     Parameters
     ----------
@@ -171,9 +174,12 @@ def run_experiment_instrumented(
         The experiment result and the directory the artifacts landed in.
     """
     from repro.analysis.profiling import Stopwatch
+    from repro.observability import RunStore, ingest_manifest
     from repro.telemetry import build_manifest, telemetry_session, write_manifest
     from repro.telemetry.manifest import default_run_dir
 
+    if experiment_id not in _RUNNERS:
+        raise KeyError(experiment_id)
     run_dir = default_run_dir(outdir, experiment_id)
     trace_file = "trace.jsonl" if trace else None
     trace_path = os.path.join(run_dir, trace_file) if trace_file else None
@@ -195,5 +201,8 @@ def run_experiment_instrumented(
             extra={"fast": fast, "title": result.title,
                    "match": result.match},
         )
-    write_manifest(os.path.join(run_dir, "manifest.json"), manifest)
+    manifest_path = write_manifest(
+        os.path.join(run_dir, "manifest.json"), manifest)
+    with RunStore(os.path.join(outdir, "store.sqlite")) as store:
+        ingest_manifest(store, manifest, source=manifest_path)
     return result, run_dir

@@ -7,9 +7,8 @@ health reports) into an operator surface:
   (``runs/store.sqlite``): runs, epochs, disturbances, metric samples and
   incidents, queryable via ``repro runs list|show|query``;
 * :mod:`~repro.observability.ingest` — the live EventBus subscriber that
-  feeds the store from runtime deployments and Monte-Carlo sweeps;
-* :mod:`~repro.observability.backfill` — the importer for pre-store
-  ``runs/`` JSONL trees;
+  feeds the store from runtime deployments, and the manifest record that
+  ``repro run`` and ``repro fuzz run`` write next to each manifest;
 * :mod:`~repro.observability.slo` — paper-grounded service objectives
   (p50/p99 time-to-restabilize per disturbance class, the zero-vacancy
   graceful-handover guarantee, census bounds, availability) with
@@ -23,11 +22,6 @@ See ``docs/OBSERVABILITY.md`` for the schema, SLO spec format and the
 incident lifecycle.
 """
 
-from repro.observability.backfill import (
-    BackfillReport,
-    backfill_runs,
-    import_manifest,
-)
 from repro.observability.dashboard import (
     RingRow,
     TopRingSpec,
@@ -37,7 +31,7 @@ from repro.observability.dashboard import (
     top_plain,
 )
 from repro.observability.incidents import IncidentTracker, render_incidents
-from repro.observability.ingest import StoreSubscriber
+from repro.observability.ingest import StoreSubscriber, ingest_manifest
 from repro.observability.slo import (
     SloResult,
     SloSpec,
@@ -54,7 +48,6 @@ from repro.observability.slo import (
 from repro.observability.store import DEFAULT_STORE_PATH, RunStore
 
 __all__ = [
-    "BackfillReport",
     "DEFAULT_STORE_PATH",
     "IncidentTracker",
     "RingRow",
@@ -63,11 +56,10 @@ __all__ = [
     "SloSpec",
     "StoreSubscriber",
     "TopRingSpec",
-    "backfill_runs",
     "default_slos",
     "disturbance_class",
     "evaluate_slos",
-    "import_manifest",
+    "ingest_manifest",
     "load_slo_specs",
     "merge_epochs",
     "quantile",

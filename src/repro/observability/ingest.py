@@ -1,4 +1,4 @@
-"""Live ingestion: an EventBus subscriber that feeds the run store.
+"""Ingestion: the live bus subscriber and the manifest record.
 
 A :class:`StoreSubscriber` registers on a
 :class:`~repro.telemetry.session.TelemetrySession` (with ``detail=False``,
@@ -21,17 +21,19 @@ runtime/epoch_open        ``epochs`` row; open/extend the incident
 runtime/epoch_stabilized  stabilize the epoch row; resolve the incident
 runtime/violation         escalate/open a guarantee-breach incident
 runtime/run_end           finalize the run (health block, metric samples)
-experiment/sweep_cell     one ``runs`` row per Monte-Carlo cell
 ========================  ====================================================
 
 Everything else on the bus is ignored with one dict lookup, which is what
 keeps the attached-subscriber overhead on the engine step loop inside the
 < 5 % budget.
+
+Registry experiments and fuzz campaigns publish no runtime lifecycle
+events, so their row comes from their manifest instead:
+:func:`ingest_manifest` records it at the moment the manifest is written.
 """
 
 from __future__ import annotations
 
-import math
 import time as _time
 from typing import Any, Dict, Optional
 
@@ -59,7 +61,7 @@ class StoreSubscriber:
         The telemetry session, consulted at ``run_end`` for metric totals
         to persist as samples.
     source:
-        Provenance tag on created rows (``"live"``, ``"backfill:..."``).
+        Provenance tag on created rows (``"live"``, ``"fleet"``, ...).
     """
 
     def __init__(
@@ -76,7 +78,6 @@ class StoreSubscriber:
         self._run_db_id: Optional[int] = None
         self._incidents: Optional[IncidentTracker] = None
         self._violations = 0
-        self._sweep_seen = 0
         self.runs_ingested = 0
 
     # -- dispatch ------------------------------------------------------------
@@ -85,8 +86,6 @@ class StoreSubscriber:
             handler = _RUNTIME_HANDLERS.get(event.kind)
             if handler is not None:
                 handler(self, event)
-        elif event.layer == "experiment" and event.kind == "sweep_cell":
-            self._on_sweep_cell(event)
 
     # -- runtime run lifecycle ----------------------------------------------
     def _on_run_start(self, event: Event) -> None:
@@ -233,44 +232,6 @@ class StoreSubscriber:
         if rows:
             self.store.add_samples(run_db_id, rows)
 
-    # -- sweep cells ---------------------------------------------------------
-    def _on_sweep_cell(self, event: Event) -> None:
-        p = event.payload
-        self._sweep_seen += 1
-        algorithm = str(p.get("algorithm", "?"))
-        n = p.get("n")
-        loss = p.get("loss")
-        seed = p.get("seed")
-        run_id = f"sweep-{algorithm}-n{n}-loss{loss:g}-seed{seed}"
-        stabilized_at = p.get("stabilized_at")
-        stabilized = (
-            stabilized_at is not None
-            and math.isfinite(float(stabilized_at))
-        )
-        run_db_id = self.store.insert_run(
-            run_id,
-            kind="sweep_cell",
-            algorithm=algorithm,
-            n=n,
-            seed=seed,
-            stabilized=int(stabilized),
-            wall_seconds=p.get("wall_seconds"),
-            source=self.source,
-            extra=dict(p),
-        )
-        self.store.add_epoch(
-            run_db_id, idx=0, label="boot", cls="boot", started_at=0.0,
-            stabilized_at=float(stabilized_at) if stabilized else None,
-        )
-        samples = [
-            (float(p.get("wall_seconds") or 0.0), name, float(p[name]), None)
-            for name in ("min_tokens", "max_tokens", "zero_time", "events")
-            if p.get(name) is not None
-        ]
-        if samples:
-            self.store.add_samples(run_db_id, samples)
-        self.runs_ingested += 1
-
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
         """Flush buffered rows (the store itself stays open)."""
@@ -296,4 +257,44 @@ _RUNTIME_HANDLERS = {
 }
 
 
-__all__ = ["SAMPLED_COUNTER_PREFIXES", "StoreSubscriber"]
+def ingest_manifest(
+    store: RunStore, manifest: Dict[str, Any], source: str
+) -> None:
+    """Record one experiment or fuzz-campaign manifest as a ``runs`` row.
+
+    The row (kind ``experiment``) takes its algorithm, ``n``, ``K`` and
+    seed from the manifest's first run descriptor, and every non-zero
+    counter total becomes one sample.  Recording a ``run_id`` again
+    supersedes the old row and its samples.
+    """
+    descriptors = manifest.get("runs") or []
+    first = descriptors[0] if descriptors else {}
+    run_db_id = store.insert_run(
+        manifest["experiment_id"],
+        kind="experiment",
+        algorithm=first.get("algorithm"),
+        n=first.get("n"),
+        k=first.get("K"),
+        seed=first.get("seed"),
+        started_utc=manifest.get("created_utc"),
+        wall_seconds=manifest.get("wall_seconds"),
+        source=source,
+        extra={"command": manifest.get("command"),
+               "package": manifest.get("package")},
+    )
+    wall = float(manifest.get("wall_seconds") or 0.0)
+    samples = []
+    counters = (manifest.get("metrics") or {}).get("counters", {})
+    for name, family in counters.items():
+        total = sum(
+            float(series.get("value") or 0.0)
+            for series in family.get("series", ())
+        )
+        if total:
+            samples.append((wall, name, total, None))
+    if samples:
+        store.add_samples(run_db_id, samples)
+    store.flush()
+
+
+__all__ = ["SAMPLED_COUNTER_PREFIXES", "StoreSubscriber", "ingest_manifest"]

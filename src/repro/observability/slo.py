@@ -319,7 +319,7 @@ def evaluate_slo(store: RunStore, spec: SloSpec) -> SloResult:
     for run in store.list_runs(algorithm=spec.algorithm):
         value = run.get(column)
         if value is None:
-            continue  # run predates the observable (e.g. backfilled stub)
+            continue  # no health columns (an experiment or fuzz row)
         result.events += 1
         if value > spec.threshold:
             result.bad += 1

@@ -7,15 +7,15 @@ campaigns", "which runs ever dropped the token").  The :class:`RunStore`
 keeps one sqlite database (canonically ``runs/store.sqlite``) with these
 tables:
 
-* ``runs`` — one row per run: live deployments, registry experiments,
-  Monte-Carlo sweep cells, backfilled manifests;
+* ``runs`` — one row per run: live deployments, chaos-campaign cells,
+  registry experiments, fuzz campaigns;
 * ``epochs`` — one row per disturbance-to-stabilization interval of a run
   (the :class:`~repro.runtime.health.Epoch` record, plus the disturbance
   class extracted from its label);
 * ``disturbances`` — the raw fault feed (chaos ops, crashes, restarts,
   corruptions) with their parameters;
-* ``samples`` — named numeric samples (metric totals at run end, sweep-cell
-  observables) for ad-hoc SQL analysis;
+* ``samples`` — named numeric samples (metric totals at run end) for
+  ad-hoc SQL analysis;
 * ``incidents`` — structured incident records (see
   :mod:`repro.observability.incidents`);
 * ``campaigns`` — one row per declarative chaos campaign (see
@@ -28,9 +28,9 @@ tables:
 
 Rows arrive either **live** — the
 :class:`~repro.observability.ingest.StoreSubscriber` attached to a telemetry
-session — or via the **backfill importer**
-(:func:`~repro.observability.backfill.backfill_runs`) over an existing
-``runs/`` JSONL tree.  Reads power ``repro runs list|show|query``,
+session — or **at manifest write**: an experiment or fuzz campaign records
+its manifest with :func:`~repro.observability.ingest.ingest_manifest` the
+moment the manifest is written.  Reads power ``repro runs list|show|query``,
 ``repro slo report`` and the incident listing.
 
 Writes are buffered: the store commits every :data:`COMMIT_EVERY`

@@ -1,5 +1,9 @@
 """Unit tests for distribution comparisons."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -83,3 +87,23 @@ class TestOnRealWorkloads:
         b = batch_convergence_steps(n=n, trials=300, K=16 * n, seed=1)
         cmp = compare_distributions(a, b)
         assert abs(cmp.cliffs_delta) < 0.3
+
+
+def test_experiments_run_without_scipy(tmp_path):
+    """scipy is a test-only dependency: importing repro.analysis and
+    running an experiment must work where it is not installed."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any 'import scipy' now fails\n"
+        "import repro.analysis\n"
+        "from repro.experiments.registry import run_experiment_instrumented\n"
+        f"result, _ = run_experiment_instrumented("
+        f"'lem1', fast=True, outdir={str(tmp_path)!r})\n"
+        "assert result.match\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir,
+                                     os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -15,20 +15,28 @@ class TestList:
 
 
 class TestRun:
-    def test_run_single_experiment(self, capsys):
-        assert main(["run", "lem1", "--fast"]) == 0
+    def test_run_single_experiment(self, tmp_path, capsys):
+        assert main(["run", "lem1", "--fast",
+                     "--telemetry-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "REPRODUCED" in out
         assert "lem1" in out
 
-    def test_run_multiple(self, capsys):
-        assert main(["run", "lem1", "fig02", "--fast"]) == 0
+    def test_run_multiple(self, tmp_path, capsys):
+        assert main(["run", "lem1", "fig02", "--fast",
+                     "--telemetry-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert out.count("REPRODUCED") == 2
 
-    def test_unknown_experiment_raises(self):
+    def test_unknown_experiment_raises(self, tmp_path):
         with pytest.raises(KeyError):
-            main(["run", "nope"])
+            main(["run", "nope", "--telemetry-dir", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_telemetry_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "lem1", "--fast", "--no-telemetry"]) == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReport:

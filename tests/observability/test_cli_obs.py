@@ -82,23 +82,6 @@ def test_runs_commands_fail_cleanly_without_store(tmp_path, capsys):
     assert "no run store" in capsys.readouterr().err
 
 
-def test_runs_backfill_cli(tmp_path, capsys):
-    run_dir = tmp_path / "runs" / "demo"
-    run_dir.mkdir(parents=True)
-    (run_dir / "manifest.json").write_text(json.dumps({
-        "experiment_id": "demo", "created_utc": "2026-08-01T00:00:00Z",
-        "runs": [{"algorithm": "SSRmin", "n": 5}],
-    }))
-    store = str(tmp_path / "store.sqlite")
-    rc = cli.main(["runs", "backfill", "--dir", str(tmp_path / "runs"),
-                   "--store", store])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "imported 1 run(s)" in out
-    with RunStore(store) as opened:
-        assert opened.get_run("demo")["kind"] == "experiment"
-
-
 def test_slo_report_burns_on_failed_run(tmp_path, capsys):
     store_path = str(tmp_path / "store.sqlite")
     with RunStore(store_path) as store:

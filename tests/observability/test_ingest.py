@@ -1,10 +1,14 @@
-"""Live ingestion: runtime events and sweep cells land in the store."""
+"""Ingestion: live runtime events, and experiment manifests at write time."""
 
+import os
+
+from repro.experiments.parallel import run_experiments_parallel
+from repro.experiments.registry import run_experiment_instrumented
 from repro.observability.ingest import StoreSubscriber
 from repro.observability.store import RunStore
 from repro.runtime.chaos import ChaosOp, ChaosScript
 from repro.runtime.harness import live_chaos, live_run
-from repro.telemetry import telemetry_session
+from repro.telemetry import read_manifest, telemetry_session
 from repro.telemetry.events import Event
 
 STABILIZE_TIMEOUT = 20.0
@@ -81,21 +85,58 @@ def test_truncated_run_closes_with_null_stabilized():
     store.close()
 
 
-def test_sweep_cell_events_become_runs():
-    store = RunStore(":memory:")
-    subscriber = StoreSubscriber(store, source="test")
-    subscriber(Event(
-        seq=0, time=1.0, layer="experiment", kind="sweep_cell",
-        payload={"algorithm": "SSRmin", "n": 8, "loss": 0.2, "seed": 3,
-                 "stabilized_at": 41.5, "min_tokens": 1, "max_tokens": 2,
-                 "zero_time": 0.0, "events": 1200, "wall_seconds": 0.05},
-    ))
-    subscriber.close()
-    run = store.get_run("sweep-SSRmin-n8-loss0.2-seed3")
-    assert run["kind"] == "sweep_cell"
-    assert run["stabilized"] == 1
-    epoch = store.epochs_for(run["id"])[0]
-    assert epoch["stabilized_at"] == 41.5
-    names = {s["name"] for s in store.samples_for(run["id"])}
-    assert {"min_tokens", "max_tokens", "zero_time", "events"} <= names
-    store.close()
+def _counter_totals(manifest):
+    return {
+        name: sum(series["value"] for series in family["series"])
+        for name, family in manifest["metrics"]["counters"].items()
+    }
+
+
+def test_experiment_run_records_its_manifest(tmp_path):
+    _, run_dir = run_experiment_instrumented(
+        "fig02", fast=True, outdir=str(tmp_path))
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    manifest = read_manifest(manifest_path)
+    first = manifest["runs"][0]
+    with RunStore(str(tmp_path / "store.sqlite")) as store:
+        assert [r["run_id"] for r in store.list_runs()] == ["fig02"]
+        run = store.get_run("fig02")
+        samples = store.samples_for(run["id"])
+    assert run["kind"] == "experiment"
+    assert (run["algorithm"], run["n"], run["k"]) == (
+        first["algorithm"], first["n"], first["K"])
+    assert run["source"] == manifest_path
+    assert run["extra"]["command"] == "python -m repro run fig02 --fast"
+    assert run["wall_seconds"] == manifest["wall_seconds"]
+    expected = {k: v for k, v in _counter_totals(manifest).items() if v}
+    assert expected  # fig02 fires rules
+    assert {s["name"]: s["value"] for s in samples} == expected
+    assert len(samples) == len(expected)
+
+
+def test_rerun_supersedes_the_row_and_its_samples(tmp_path):
+    run_experiment_instrumented("fig02", fast=True, outdir=str(tmp_path))
+    _, run_dir = run_experiment_instrumented(
+        "fig02", fast=True, outdir=str(tmp_path))
+    manifest = read_manifest(os.path.join(run_dir, "manifest.json"))
+    with RunStore(str(tmp_path / "store.sqlite")) as store:
+        assert store.counts()["runs"] == 1
+        run = store.get_run("fig02")
+        samples = store.samples_for(run["id"])
+    assert run["wall_seconds"] == manifest["wall_seconds"]
+    assert len(samples) == sum(1 for v in _counter_totals(manifest).values()
+                               if v)
+    assert {s["time"] for s in samples} == {manifest["wall_seconds"]}
+
+
+def test_parallel_workers_record_into_one_store(tmp_path):
+    # More workers than CI cores, all writing one sqlite file: a write
+    # lost to lock contention shows up as a missing row.
+    ids = ["lem1", "lem2", "lem3", "lem4", "fig01", "fig02", "fig03", "fig04"]
+    results = run_experiments_parallel(
+        ids, fast=True, workers=4, telemetry_dir=str(tmp_path))
+    assert [r.experiment_id for r in results] == ids
+    with RunStore(str(tmp_path / "store.sqlite")) as store:
+        rows = store.list_runs()
+    assert sorted(r["run_id"] for r in rows) == sorted(ids)
+    assert {r["kind"] for r in rows} == {"experiment"}

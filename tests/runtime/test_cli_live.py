@@ -26,6 +26,7 @@ def test_live_run_writes_manifest(tmp_path, capsys):
         "live", "run", "--n", "4", "--timer-interval", "0.05",
         "--duration", "0.3", "--seed", "2",
         "--telemetry-dir", str(tmp_path),
+        "--store", str(tmp_path / "store.sqlite"),
     ])
     assert rc == 0
     path = os.path.join(tmp_path, "live-run-ssrmin-n4-seed2", "manifest.json")

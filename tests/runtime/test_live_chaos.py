@@ -123,6 +123,7 @@ def test_acceptance_cli_loss_burst_over_udp(tmp_path):
         "--transport", "udp", "--seed", "7", "--timer-interval", "0.05",
         "--stabilize-timeout", str(STABILIZE_TIMEOUT),
         "--telemetry-dir", str(tmp_path),
+        "--store", str(tmp_path / "store.sqlite"),
     ])
     assert rc == 0
     manifest_path = os.path.join(

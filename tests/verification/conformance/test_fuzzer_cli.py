@@ -10,6 +10,7 @@ from repro.daemons.adversarial import AdversarialDaemon
 from repro.daemons.base import Daemon
 from repro.daemons.central import RandomCentralDaemon
 from repro.daemons.weighted import WeightedUnfairDaemon
+from repro.observability.store import RunStore
 from repro.telemetry import telemetry_session
 from repro.verification.conformance import (
     DAEMON_FAMILIES,
@@ -127,6 +128,10 @@ class TestFuzzCLI:
         )
         assert manifest["extra"]["campaign"]["trials"] == 4
         assert (tmp_path / "fuzz-seed9" / "trace.jsonl").exists()
+        with RunStore(str(tmp_path / "store.sqlite")) as store:
+            run = store.get_run("fuzz-seed9")
+        assert run["kind"] == "experiment"
+        assert run["extra"]["command"] == "repro fuzz run --seed 9"
 
     def test_fuzz_replay_corpus_directory(self, capsys):
         rc = main(["fuzz", "replay", "tests/corpus"])
