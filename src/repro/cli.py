@@ -567,8 +567,9 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
     for key in ("algorithm", "n", "K", "transport", "seed", "source",
                 "script", "started_utc", "wall_seconds", "stabilized",
                 "vacancy_instants", "violations", "restarts"):
-        if run.get(key) is not None:
-            print(f"  {key}: {run[key]}")
+        value = run.get(key.lower())  # the runs column for K is `k`
+        if value is not None:
+            print(f"  {key}: {value}")
     print(f"epochs ({len(epochs)}):")
     for epoch in epochs:
         ttr = epoch.get("time_to_stabilize")

@@ -7,8 +7,9 @@ live here so every batched consumer (the Theorem-2 batch engine, the
 sweep engine's batched-cell mode, the benchmark) evaluates the *same*
 expressions against the *same* :data:`~repro.kernels.rule_table.RULE_TABLE`.
 
-All functions take states as ``(trials, n)`` int64 arrays: ``X`` holds
-the Dijkstra counters, ``H`` the 2-bit handshake codes.
+All functions take states as ``(trials, n)`` integer arrays: ``X`` holds
+the Dijkstra counters (int64: ``K`` has no upper bound), ``H`` the 2-bit
+handshake codes (any integer dtype; the convergence runner uses uint8).
 
 :func:`run_convergence_cells` is the sweep engine's vectorized cell
 executor: it advances one *homogeneous group* of convergence cells (same
@@ -16,7 +17,19 @@ executor: it advances one *homogeneous group* of convergence cells (same
 randomness is counter-based (:mod:`repro.kernels.prng`), which makes each
 cell's trajectory a pure function of its own seed: running a cell alone
 or inside any group produces bit-identical results, the property the
-resumable sweep store leans on.
+resumable sweep store leans on.  The step loop works on live lanes only:
+
+* a lane leaves every per-lane array in the step it first satisfies
+  Definition 1 (its step count is written back by its original index);
+* each lane keeps its interior x-boundary count ``nb`` and nonzero
+  handshake count ``nz``, and Definition 1 is evaluated only on lanes
+  with ``nb <= 1`` and ``nz`` in ``{1, 2}``;
+* under the central daemon, which moves one process per lane per step,
+  the rule array persists across steps and only the guards next to the
+  moved column, and the counts' terms at it, are recomputed;
+* the synchronous and Bernoulli daemons move many processes per step and
+  recompute every guard of the live lanes;
+* the per-seed half of every PRNG key is hashed once per run.
 """
 
 from __future__ import annotations
@@ -25,11 +38,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.prng import grid_integers, grid_uniforms
+from repro.kernels.prng import (
+    grid_integers,
+    keyed_uniforms,
+    lane_mixes,
+    step_keys,
+    stream_keys,
+)
 from repro.kernels.rule_table import RULE_TABLE
 
 #: The 128-entry guard-resolution table as a numpy LUT.
 RULE_LUT = np.frombuffer(RULE_TABLE, dtype=np.uint8)
+
+#: Handshake code after a step, indexed ``(rule << 2) | h``: R1 leaves
+#: ``<1.0>``, R3 ``<0.1>``, R2/R4/R5 ``<0.0>``; rule 0 (no move) keeps ``h``.
+_NEXT_H = np.array([h if new is None else new
+                    for new in (None, 2, 0, 1, 0, 0) for h in range(4)],
+                   dtype=np.uint8)
+#: Rules whose command also sets ``x_i <- C_i`` (R2 and R4).
+_SETS_X = np.array([False, False, True, False, True, False])
 
 #: PRNG stream ids (:func:`repro.kernels.prng.grid_uniforms` coordinates).
 STREAM_INIT_X = 0
@@ -38,24 +65,40 @@ STREAM_COINS = 2
 STREAM_PICK = 3
 
 
-def batched_guards(X: np.ndarray, H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(G, rule)`` arrays; rule in {0 (none), 1..5} after priority.
+def _primary(X: np.ndarray) -> np.ndarray:
+    """``G_i`` per process: ``x_i != x_{i-1}``, and ``x_0 == x_{n-1}``."""
+    G = np.empty(X.shape, dtype=bool)
+    np.not_equal(X[:, 1:], X[:, :-1], out=G[:, 1:])
+    np.equal(X[:, 0], X[:, -1], out=G[:, 0])
+    return G
 
-    One gather through the shared rule table (indexed
-    ``(G << 6) | (h_pred << 4) | (h_own << 2) | h_succ``) replaces five
-    separate guard masks + a ``np.select`` cascade.
+
+def _neighbours(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(H_{i-1}, H_{i+1})`` around the ring."""
+    return (np.concatenate((H[:, -1:], H[:, :-1]), axis=1),
+            np.concatenate((H[:, 1:], H[:, :1]), axis=1))
+
+
+def _rules(G: np.ndarray, Hp: np.ndarray, H: np.ndarray,
+           Hs: np.ndarray) -> np.ndarray:
+    """Rule codes (uint8, 0 = none) from guard inputs of any shape.
+
+    One gather through the shared rule table, indexed
+    ``(G << 6) | (h_pred << 4) | (h_own << 2) | h_succ``.
     """
-    n = X.shape[1]
-    Xp = np.roll(X, 1, axis=1)
-    G = X != Xp
-    G[:, 0] = X[:, 0] == X[:, n - 1]
+    return np.take(RULE_LUT,
+                   (G.view(np.uint8) << 6) | (Hp << 4) | (H << 2) | Hs)
 
-    Hp = np.roll(H, 1, axis=1)
-    Hs = np.roll(H, -1, axis=1)
 
-    idx = (G.astype(np.int64) << 6) | (Hp << 4) | (H << 2) | Hs
-    rule = RULE_LUT[idx].astype(np.int64)
-    return G, rule
+def batched_guards(X: np.ndarray, H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(G, rule)`` arrays; rule (uint8) in {0 (none), 1..5} after priority.
+
+    One gather through the shared rule table replaces five separate
+    guard masks + a ``np.select`` cascade.
+    """
+    G = _primary(X)
+    Hp, Hs = _neighbours(H)
+    return G, _rules(G, Hp, H, Hs)
 
 
 def batched_commands(X: np.ndarray, K: int) -> np.ndarray:
@@ -65,10 +108,7 @@ def batched_commands(X: np.ndarray, K: int) -> np.ndarray:
     bottom column gets ``X[:, n-1] + 1 mod K``, everyone else a copy of
     the predecessor column (composite atomicity: all from the old state).
     """
-    n = X.shape[1]
-    C = np.roll(X, 1, axis=1)
-    C[:, 0] = (X[:, n - 1] + 1) % K
-    return C
+    return np.concatenate(((X[:, -1:] + 1) % K, X[:, :-1]), axis=1)
 
 
 def batched_privileged_counts(X: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -78,15 +118,11 @@ def batched_privileged_counts(X: np.ndarray, H: np.ndarray) -> np.ndarray:
     privileged iff it holds the primary token (``G_i``) or the secondary
     token (``tra_i = 1`` or ``rts_i = 1`` with a quiet successor).
     """
-    n = X.shape[1]
-    Xp = np.roll(X, 1, axis=1)
-    G = X != Xp
-    G[:, 0] = X[:, 0] == X[:, n - 1]
-    Hs = np.roll(H, -1, axis=1)
+    _, Hs = _neighbours(H)
     rts = H >= 2
     tra = (H % 2) == 1
     secondary = tra | (rts & (Hs == 0))
-    return (G | secondary).sum(axis=1)
+    return (_primary(X) | secondary).sum(axis=1)
 
 
 def batched_legitimate(X: np.ndarray, H: np.ndarray, K: int) -> np.ndarray:
@@ -108,7 +144,7 @@ def batched_legitimate(X: np.ndarray, H: np.ndarray, K: int) -> np.ndarray:
     # Single interior boundary at b: X[b-1] == X[b] + 1 (mod K) and the
     # wraparound also steps: X[0] == X[n-1] + 1 (mod K).
     d1 = nb == 1
-    boundary = np.where(interior_diff, 1, 0).argmax(axis=1) + 1  # first diff
+    boundary = interior_diff.argmax(axis=1) + 1  # first diff
     rows = np.arange(trials)
     step_ok = X[rows, boundary - 1] == (X[rows, boundary] + 1) % K
     wrap_ok = X[:, 0] == (X[:, n - 1] + 1) % K
@@ -150,22 +186,172 @@ def parse_daemon(spec: str) -> Tuple[str, float]:
     )
 
 
-def _pick_one_enabled(
-    enabled: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """One-hot selection of the ``floor(u * count)``-th enabled process.
+def _pick(enabled: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Flat index of the ``floor(u * count)``-th enabled process per row.
 
-    ``enabled`` is (rows, n) boolean with at least one True per row;
-    ``u`` is (rows,) uniforms.  The cumulative-sum trick lands on the
-    chosen enabled column without python loops.
+    ``enabled`` is (rows, n) boolean with at least one True per row (an
+    SSRmin configuration always has an enabled process), ``u`` (rows,)
+    uniforms.  The enabled positions in row-major order, cut at each
+    row's first entry, land on the chosen process without python loops.
     """
-    counts = enabled.sum(axis=1)
-    target = np.minimum((u * counts).astype(np.int64), counts - 1) + 1
-    cs = enabled.cumsum(axis=1)
-    chosen = (cs == target[:, None]).argmax(axis=1)
-    out = np.zeros_like(enabled)
-    out[np.arange(enabled.shape[0]), chosen] = True
-    return out
+    rows, n = enabled.shape
+    positions = np.flatnonzero(enabled)
+    bounds = np.searchsorted(positions, np.arange(0, (rows + 1) * n, n))
+    first = bounds[:-1]
+    count = bounds[1:] - first
+    target = np.minimum((u * count).astype(np.int64), count - 1)
+    return positions[first + target]
+
+
+#: Window offsets around a central-daemon move at column ``j``: the
+#: guards at ``j - 1 .. j + 1`` read ``x`` at ``j - 2 .. j + 1`` and
+#: ``h`` at ``j - 2 .. j + 2``.
+_WINDOW = np.arange(-2, 3)
+
+#: Steps of ``STREAM_PICK`` uniforms (central picks, Bernoulli fallbacks)
+#: drawn per PRNG call: one ``lanes x 32`` hash in place of 32 small ones.
+_PICK_BLOCK = 32
+
+
+class _Lanes:
+    """The live lanes of one group: state, counts and per-seed keys.
+
+    Row ``r`` is the cell at original index ``cell[r]``.  :meth:`retire`
+    drops converged rows from every per-lane array, so each step works
+    on live lanes only; draws are keyed by seed, never by row, so
+    dropping rows leaves every other lane's trajectory unchanged.
+    """
+
+    #: Per-lane arrays, indexed by row.
+    FIELDS = ("cell", "X", "H", "nb", "nz", "pick", "coins", "picks",
+              "rule", "enabled")
+
+    def __init__(self, X: np.ndarray, H: np.ndarray, seeds: np.ndarray,
+                 cell: np.ndarray, K: int, kind: str, p: float) -> None:
+        self.K, self.kind, self.p = K, kind, p
+        self.cell = cell
+        self.X = X[cell]
+        self.H = H[cell]
+        self.recount()
+        self.lane0 = lane_mixes(1)
+        self.lanes_n = lane_mixes(X.shape[1])
+        self.pick = stream_keys(seeds[cell], STREAM_PICK)
+        self.coins = (stream_keys(seeds[cell], STREAM_COINS)
+                      if kind == "bernoulli" else None)
+        self.picks = None
+        self.picks_from = -_PICK_BLOCK  # nothing drawn yet
+        self.rule = self.enabled = None
+        if kind == "central":
+            # ``enabled`` mirrors ``rule != 0``: the pick's flatnonzero is
+            # several times faster on booleans than on rule codes.
+            self.rule = batched_guards(self.X, self.H)[1]
+            self.enabled = self.rule != 0
+
+    def recount(self) -> None:
+        """Interior x-boundaries and nonzero handshakes, counted in full."""
+        self.nb = np.count_nonzero(self.X[:, 1:] != self.X[:, :-1], axis=1)
+        self.nz = np.count_nonzero(self.H, axis=1)
+
+    def retire(self, steps: np.ndarray, k: int) -> None:
+        """Record and drop the lanes legitimate after step ``k``.
+
+        A legitimate configuration has at most one interior x-boundary and
+        one or two nonzero handshakes, so only lanes whose counts allow it
+        are given to :func:`batched_legitimate`.
+        """
+        nb, nz = self.nb, self.nz
+        rows = np.flatnonzero((nb <= 1) & (nz >= 1) & (nz <= 2))
+        if not rows.size:
+            return
+        rows = rows[batched_legitimate(self.X[rows], self.H[rows], self.K)]
+        if not rows.size:
+            return
+        steps[self.cell[rows]] = k
+        keep = np.ones(len(self.cell), dtype=bool)
+        keep[rows] = False
+        for name in self.FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[keep])
+
+    def step(self, k: int) -> None:
+        """Daemon step ``k`` on every live lane."""
+        if self.kind == "central":
+            self._central_step(k)
+        else:
+            self._parallel_step(k)
+
+    def _pick_uniforms(self, k: int) -> np.ndarray:
+        """Each lane's ``STREAM_PICK`` uniform at step ``k``, drawn for
+        :data:`_PICK_BLOCK` steps at a time."""
+        if k >= self.picks_from + _PICK_BLOCK:
+            keys = step_keys(self.pick, range(k, k + _PICK_BLOCK))
+            self.picks = keyed_uniforms(keys.ravel(), self.lane0).reshape(
+                keys.shape)
+            self.picks_from = k
+        return self.picks[:, k - self.picks_from]
+
+    def _central_step(self, k: int) -> None:
+        """One move per lane, then only the moved neighbourhood.
+
+        Only column ``j`` changes, so only the guards at ``j - 1 .. j + 1``
+        and the counts' terms at ``j`` are recomputed.
+        """
+        X, H, rule = self.X, self.H, self.rule
+        lanes, n = X.shape
+        base = np.arange(0, lanes * n, n)
+        at_j = _pick(self.enabled, self._pick_uniforms(k))
+        cols = (at_j - base)[:, None] + _WINDOW
+        cols %= n
+        flat = cols + base[:, None]
+        Xw = np.take(X, flat[:, :4])
+        Hw = np.take(H, flat)
+        r = np.take(rule, at_j)
+
+        # C_j: the predecessor's x, or x_{n-1} + 1 at the bottom.
+        x_left = Xw[:, 1]
+        c = np.where(cols[:, 2] == 0, (x_left + 1) % self.K, x_left)
+        x_new = np.where(np.take(_SETS_X, r), c, Xw[:, 2])
+        h_new = np.take(_NEXT_H, (r << 2) | Hw[:, 2])
+
+        # Swap column j's terms of both counts: the pairs (j-1, j) and
+        # (j, j+1) are interior unless their right column is 0.
+        interior = cols[:, 2:4] != 0
+        self.nb -= ((Xw[:, 2:] != Xw[:, 1:3]) & interior).sum(axis=1)
+        self.nz -= Hw[:, 2] != 0
+        Xw[:, 2] = x_new
+        Hw[:, 2] = h_new
+        D = Xw[:, 1:] != Xw[:, :-1]  # pairs (j-2, j-1), (j-1, j), (j, j+1)
+        self.nb += (D[:, 1:] & interior).sum(axis=1)
+        self.nz += h_new != 0
+
+        np.put(X, at_j, x_new)
+        np.put(H, at_j, h_new)
+        # G_i is x_i != x_{i-1}, except that G_0 is x_0 == x_{n-1}.
+        new = _rules(D ^ (cols[:, 1:4] == 0), Hw[:, :3], Hw[:, 1:4],
+                     Hw[:, 2:])
+        np.put(rule, flat[:, 1:4], new)
+        np.put(self.enabled, flat[:, 1:4], new != 0)
+
+    def _parallel_step(self, k: int) -> None:
+        """One synchronous or Bernoulli step: every guard, every lane."""
+        X, H = self.X, self.H
+        _, rule = batched_guards(X, H)
+        fire = rule
+        if self.kind == "bernoulli":
+            coins = keyed_uniforms(step_keys(self.coins, [k])[:, 0],
+                                   self.lanes_n)
+            fire = rule * (coins < self.p)
+            # A lane whose coins all missed moves one enabled process.
+            empty = np.flatnonzero(~fire.any(axis=1))
+            if empty.size:
+                u = self._pick_uniforms(k)[empty]
+                j = _pick(rule[empty] != 0, u) % X.shape[1]
+                fire[empty, j] = rule[empty, j]
+        sets_x = np.take(_SETS_X, fire)
+        self.X = np.where(sets_x, batched_commands(X, self.K), X)
+        self.H = np.take(_NEXT_H, (fire << 2) | H)
+        self.recount()
 
 
 def run_convergence_cells(
@@ -197,59 +383,21 @@ def run_convergence_cells(
         raise ValueError(f"K must exceed n (got K={K}, n={n})")
     kind, p = parse_daemon(daemon)
     budget = 60 * n * n + 600 if budget is None else int(budget)
-    seeds = list(seeds)
+    seeds = np.asarray(list(seeds), dtype=np.int64)
     cells = len(seeds)
 
     X = grid_integers(seeds, STREAM_INIT_X, 0, n, K)
-    H = grid_integers(seeds, STREAM_INIT_H, 0, n, 4)
+    H = grid_integers(seeds, STREAM_INIT_H, 0, n, 4).astype(np.uint8)
 
     steps = np.full(cells, -1, dtype=np.int64)
     legit = batched_legitimate(X, H, K)
     steps[legit] = 0
-    active = ~legit
+    lanes = _Lanes(X, H, seeds, np.flatnonzero(~legit), K, kind, p)
     for k in range(1, budget + 1):
-        if not active.any():
+        if not lanes.cell.size:
             break
-        _, rule = batched_guards(X, H)
-        enabled = rule > 0
-        enabled &= active[:, None]
-
-        if kind == "synchronous":
-            selected = enabled
-        elif kind == "central":
-            any_enabled = enabled.any(axis=1)
-            u = grid_uniforms(seeds, STREAM_PICK, k, 1)[:, 0]
-            selected = np.zeros_like(enabled)
-            if any_enabled.any():
-                selected[any_enabled] = _pick_one_enabled(
-                    enabled[any_enabled], u[any_enabled]
-                )
-        else:  # bernoulli
-            coins = grid_uniforms(seeds, STREAM_COINS, k, n) < p
-            selected = enabled & coins
-            empty = enabled.any(axis=1) & ~selected.any(axis=1)
-            if empty.any():
-                u = grid_uniforms(seeds, STREAM_PICK, k, 1)[:, 0]
-                selected[empty] = _pick_one_enabled(
-                    enabled[empty], u[empty]
-                )
-
-        fire = np.where(selected, rule, 0)
-        C = batched_commands(X, K)
-        new_H = H.copy()
-        new_X = X.copy()
-        new_H[fire == 1] = 2            # R1: <1.0>
-        mask24 = (fire == 2) | (fire == 4)
-        new_H[mask24] = 0               # R2/R4: <0.0>, x <- C_i
-        new_X[mask24] = C[mask24]
-        new_H[fire == 3] = 1            # R3: <0.1>
-        new_H[fire == 5] = 0            # R5: <0.0>
-        X, H = new_X, new_H
-
-        legit = batched_legitimate(X, H, K)
-        newly = active & legit
-        steps[newly] = k
-        active &= ~legit
+        lanes.step(k)
+        lanes.retire(steps, k)
 
     return [
         {"steps": int(steps[c]), "converged": bool(steps[c] >= 0),

@@ -45,11 +45,34 @@ def _u64(values) -> np.ndarray:
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, elementwise over a uint64 array."""
+    """The splitmix64 finalizer, elementwise over a uint64 array.
+
+    ``z`` is left untouched; every later pass works in place on the copy
+    the first addition makes.
+    """
     z = z + _GOLDEN
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
+
+
+def stream_keys(seeds: SeedVector, stream: int) -> np.ndarray:
+    """The step-independent half of :func:`counter_keys`, one per seed.
+
+    A run that draws from one stream at many steps hashes its seeds once
+    here and pays one mix per step in :func:`step_keys`.
+    """
+    h = mix64(_u64(seeds))
+    return mix64(h ^ mix64(_u64([stream]))[0])
+
+
+def step_keys(keys: np.ndarray, steps: Sequence[int]) -> np.ndarray:
+    """``(len(keys), len(steps))`` :func:`counter_keys` from
+    :func:`stream_keys` output, one column per step."""
+    return mix64(keys[:, None] ^ mix64(_u64(steps))[None, :])
 
 
 def counter_keys(seeds: SeedVector, stream: int, step: int) -> np.ndarray:
@@ -60,9 +83,20 @@ def counter_keys(seeds: SeedVector, stream: int, step: int) -> np.ndarray:
     mixes keeps the composition asymmetric, so ``(stream=a, step=b)``
     and ``(stream=b, step=a)`` do not collide.
     """
-    h = mix64(_u64(seeds))
-    h = mix64(h ^ mix64(_u64([stream]))[0])
-    return mix64(h ^ mix64(_u64([step]))[0])
+    return step_keys(stream_keys(seeds, stream), [step])[:, 0]
+
+
+def lane_mixes(lanes: int) -> np.ndarray:
+    """The per-lane half of :func:`grid_uniforms` (step-independent)."""
+    return mix64(np.arange(lanes, dtype=np.uint64))
+
+
+def keyed_uniforms(keys: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """``(len(keys), len(lanes))`` uniforms from :func:`counter_keys` and
+    :func:`lane_mixes` output — the second stage of :func:`grid_uniforms`.
+    """
+    mixed = mix64(keys[:, None] ^ lanes[None, :])
+    return (mixed >> _S11).astype(np.float64) * _INV53
 
 
 def grid_uniforms(
@@ -72,10 +106,8 @@ def grid_uniforms(
 
     Entry ``[c, l]`` depends only on ``(seeds[c], stream, step, l)``.
     """
-    keys = counter_keys(seeds, stream, step)
-    lane = mix64(np.arange(lanes, dtype=np.uint64))
-    mixed = mix64(keys[:, None] ^ lane[None, :])
-    return (mixed >> _S11).astype(np.float64) * _INV53
+    return keyed_uniforms(counter_keys(seeds, stream, step),
+                          lane_mixes(lanes))
 
 
 def grid_integers(
@@ -90,4 +122,13 @@ def grid_integers(
     return np.minimum((u * bound).astype(np.int64), bound - 1)
 
 
-__all__ = ["counter_keys", "grid_integers", "grid_uniforms", "mix64"]
+__all__ = [
+    "counter_keys",
+    "grid_integers",
+    "grid_uniforms",
+    "keyed_uniforms",
+    "lane_mixes",
+    "mix64",
+    "step_keys",
+    "stream_keys",
+]

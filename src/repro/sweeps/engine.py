@@ -43,9 +43,10 @@ from repro.sweeps.store import SweepStore
 #: Execution modes: ``auto`` batches whatever is batchable.
 MODES = ("auto", "batched", "per-cell")
 
-#: Cells per lockstep group — bounds peak array memory at
-#: ``2 * chunk * max(n)`` int64 while keeping per-chunk numpy dispatch
-#: overhead amortized.
+#: Cells per lockstep group — bounds the kernel's working arrays at a few
+#: ``chunk * max(n)`` arrays (int64 counters, byte-wide handshake and rule
+#: codes, one step's uint64 coin draws) while keeping per-chunk numpy
+#: dispatch overhead amortized.
 GROUP_CHUNK = 256
 
 #: Algorithm factories by name (names, not classes, cross process

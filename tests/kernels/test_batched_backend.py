@@ -6,38 +6,43 @@ engine; these tests pin its two load-bearing contracts:
 * **group-composition invariance** — a cell's result is identical whether
   it runs alone or inside any batch (the per-cell-seed determinism the
   resumable store relies on);
-* **cross-engine agreement** — under the synchronous daemon the
-  trajectory is a deterministic function of the initial configuration, so
-  the batched backend must report exactly the step count the scalar
-  fastpath engine measures from the same start.
+* **cross-engine agreement** — a scalar-engine daemon that draws the same
+  counter-keyed numbers replays every daemon family's schedule, so the
+  batched backend must report exactly the step count both scalar engines
+  (packed and naive) measure from the same start.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.ssrmin import SSRmin
-from repro.daemons.distributed import SynchronousDaemon
+from repro.daemons.base import Daemon
 from repro.kernels.batched import (
     DAEMON_FAMILIES,
+    STREAM_COINS,
     STREAM_INIT_H,
     STREAM_INIT_X,
+    STREAM_PICK,
     parse_daemon,
     run_convergence_cells,
 )
-from repro.kernels.prng import grid_integers
+from repro.kernels.prng import grid_integers, grid_uniforms
 from repro.simulation.convergence import converge
 
 
 @pytest.mark.parametrize("daemon", ["synchronous", "central",
                                     "bernoulli:0.5"])
 def test_group_composition_invariance(daemon):
-    seeds = list(range(10))
-    together = run_convergence_cells(6, seeds, daemon)
-    for seed, expected in zip(seeds, together):
-        alone = run_convergence_cells(6, [seed], daemon)[0]
-        assert alone == expected
-    shuffled = run_convergence_cells(6, seeds[::-1], daemon)
-    assert shuffled == together[::-1]
+    # n=3 over 200 seeds mixes a lane legitimate at step 0 with lanes that
+    # converge late, so lanes leave the group at many different steps.
+    for n, cells in ((6, 10), (3, 200)):
+        seeds = list(range(cells))
+        together = run_convergence_cells(n, seeds, daemon)
+        for seed, expected in zip(seeds, together):
+            alone = run_convergence_cells(n, [seed], daemon)[0]
+            assert alone == expected
+        shuffled = run_convergence_cells(n, seeds[::-1], daemon)
+        assert shuffled == together[::-1]
 
 
 def test_all_daemon_families_converge():
@@ -48,30 +53,69 @@ def test_all_daemon_families_converge():
         assert all(r["steps"] >= 0 for r in results)
 
 
-def test_synchronous_agrees_with_scalar_engine():
+class CounterKeyedDaemon(Daemon):
+    """A scalar-engine daemon drawing the batched backend's numbers.
+
+    Engine step ``step`` is the backend's step ``k = step + 1``; each
+    choice hashes ``(seed, stream, k)`` exactly as the backend does.
+    """
+
+    def __init__(self, daemon: str, seed: int):
+        self.kind, self.p = parse_daemon(daemon)
+        self.seed = seed
+
+    def _pick(self, enabled, k):
+        u = grid_uniforms([self.seed], STREAM_PICK, k, 1)[0, 0]
+        return (enabled[min(int(u * len(enabled)), len(enabled) - 1)],)
+
+    def select(self, enabled, config, step):
+        k = step + 1
+        if self.kind == "synchronous":
+            return tuple(enabled)
+        if self.kind == "central":
+            return self._pick(enabled, k)
+        n = len(config)
+        coins = grid_uniforms([self.seed], STREAM_COINS, k, n)[0] < self.p
+        chosen = tuple(i for i in enabled if coins[i])
+        return chosen or self._pick(enabled, k)
+
+
+@pytest.mark.parametrize("daemon", ["synchronous", "central",
+                                    "bernoulli:0.2", "bernoulli:0.5"])
+@pytest.mark.parametrize("use_fastpath", [True, False])
+def test_agrees_with_scalar_engine(daemon, use_fastpath):
     n, K, seeds = 6, 7, list(range(8))
     X = grid_integers(seeds, STREAM_INIT_X, 0, n, K)
     H = grid_integers(seeds, STREAM_INIT_H, 0, n, 4)
-    batched = run_convergence_cells(n, seeds, "synchronous", K=K)
+    batched = run_convergence_cells(n, seeds, daemon, K=K)
     alg = SSRmin(n, K)
-    for row, result in enumerate(batched):
+    for row, (seed, result) in enumerate(zip(seeds, batched)):
         init = tuple(
             (int(X[row, i]), int(H[row, i]) >> 1, int(H[row, i]) & 1)
             for i in range(n)
         )
-        scalar = converge(alg, SynchronousDaemon(), init)
+        scalar = converge(alg, CounterKeyedDaemon(daemon, seed), init,
+                          use_fastpath=use_fastpath)
         assert scalar.converged
         assert scalar.steps == result["steps"]
 
 
 def test_budget_exhaustion_reports_unconverged():
-    # A 2-step budget cannot converge every random start at n=8.
-    results = run_convergence_cells(8, range(32), "central", budget=2)
-    assert any(not r["converged"] for r in results)
-    for r in results:
-        assert r["budget"] == 2
-        if not r["converged"]:
-            assert r["steps"] == -1
+    # With the median step count as the budget, about half the lanes run
+    # out: those report -1, the rest keep their exact unbudgeted count.
+    seeds = range(64)
+    for daemon in ("synchronous", "central", "bernoulli:0.5"):
+        free = [r["steps"] for r in run_convergence_cells(8, seeds, daemon)]
+        budget = int(np.median(free))
+        results = run_convergence_cells(8, seeds, daemon, budget=budget)
+        assert any(not r["converged"] for r in results)
+        for steps, r in zip(free, results):
+            if steps <= budget:
+                assert r == {"steps": steps, "converged": True,
+                             "budget": budget}
+            else:
+                assert r == {"steps": -1, "converged": False,
+                             "budget": budget}
 
 
 def test_daemon_parsing():

@@ -59,6 +59,7 @@ def test_runs_show_and_query(tmp_path, capsys):
     assert rc == 0
     assert "epochs (" in out and "incidents (" in out
     assert "loss_burst" in out
+    assert "  K: 5" in out
 
     rc = cli.main(["runs", "query",
                    "SELECT algorithm, vacancy_instants FROM runs",
