@@ -170,14 +170,14 @@ class FaultConfig:
                             params={"node": int(p.get("node", n // 2)) % n}),)
         # cache-corruption: a volley of transient memory faults.  The
         # default targets reproduce the ``cache_scramble`` script (state
-        # of node 1, one cache entry mid-ring, state of node n-1), spaced
-        # ``spacing`` seconds apart.
+        # of node 1, the predecessor cache entry of the mid-ring node,
+        # state of node n-1), spaced ``spacing`` seconds apart.
         targets = p.get("targets")
         if targets is None:
             mid = n // 2
             targets = [
                 {"node": 1 % n},
-                {"node": mid, "neighbor": (mid + 1) % n},
+                {"node": mid, "neighbor": (mid - 1) % n},
                 {"node": (n - 1) % n},
             ]
         spacing = float(p.get("spacing", 0.4))

@@ -17,7 +17,10 @@ new backend (or a new algorithm in PR 11+) lands its semantics once:
 * :mod:`repro.kernels.batched` — the vectorized numpy expressions over
   ``(trials, n)`` state arrays plus the lockstep convergence-cell runner;
 * :mod:`repro.kernels.prng` — counter-based (splitmix64) randomness that
-  makes batched trajectories a pure function of per-cell seeds.
+  makes batched trajectories a pure function of per-cell seeds;
+* :mod:`repro.kernels.census` — the incremental own-view token census
+  (holder mask, stale-entry count, memoised legitimacy) that the packed
+  DES and the live health monitor share.
 
 Scalar consumers import the scalar modules only; numpy is required just
 for :mod:`~repro.kernels.batched` / :mod:`~repro.kernels.prng`.

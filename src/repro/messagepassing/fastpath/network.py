@@ -12,7 +12,8 @@ facade, while the run loop executes on flat packed arrays:
   precompiled delay samplers and statistics counters;
 * events: packed tuples on a flat :class:`~.wheel.EventWheel`;
 * observation: own-view token holders, cache staleness and the
-  legitimate+coherent entry condition maintained incrementally.
+  legitimate+coherent entry condition, kept by the shared incremental
+  :class:`~repro.kernels.census.Census` over the packed arrays.
 
 **Fidelity contract.**  The engine consumes the network's single seeded
 ``random.Random`` in exactly the reference order (per transmission: loss
@@ -43,6 +44,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.algorithms.base import RingAlgorithm
+from repro.kernels.census import Census
 from repro.messagepassing.des import EventQueue
 from repro.messagepassing.fastpath.codecs import MPCodec
 from repro.messagepassing.fastpath.wheel import ACT, ARRIVE, PYCALL, TIMER, EventWheel
@@ -118,18 +120,14 @@ class FastCSTNetwork(MessagePassingNetwork):
         #: Holder mask at the last timeline record (None before the first);
         #: int comparison replaces the reference's tuple-equality coalescing.
         self._last_mask: Optional[int] = None
-        self._mask_memo: Dict[int, Tuple[int, ...]] = {}
 
         # -- node arrays ---------------------------------------------------
-        self._p = [0] * n            # packed own states
-        self._cp = [0] * n           # packed predecessor-cache values
-        self._cs = [0] * n           # packed successor-cache values (bidir)
+        self._census = Census(n, codec.holds_token, codec.is_legitimate,
+                              codec.bidirectional)
+        self._p = self._census.p     # packed own states
+        self._cp = self._census.cp   # packed predecessor-cache values
+        self._cs = self._census.cs   # packed successor-cache values (bidir)
         self._pending_act = [False] * n
-        self._hold = [False] * n
-        self._holders_mask = 0
-        self._stale_pred = [False] * n
-        self._stale_succ = [False] * n
-        self._stale_count = 0
         self._rules_executed = [0] * n
         self._messages_received = [0] * n
         self._timer_fires = [0] * n
@@ -207,29 +205,7 @@ class FastCSTNetwork(MessagePassingNetwork):
             sampler = self._l_sampler[lid]
             if sampler[3] is not link.delay_model:
                 self._l_sampler[lid] = _compile_sampler(link.delay_model)
-        self._recount()
-
-    def _recount(self) -> None:
-        """Recompute holder bits and staleness from the packed arrays."""
-        n, p, cp, cs = self._n, self._p, self._cp, self._cs
-        holds = self.codec.holds_token
-        bidir = self._bidir
-        mask = 0
-        stale = 0
-        for i in range(n):
-            b = holds(p[i], cp[i], cs[i], i)
-            self._hold[i] = b
-            if b:
-                mask |= 1 << i
-            sp = cp[i] != p[(i - 1) % n]
-            self._stale_pred[i] = sp
-            stale += sp
-            if bidir:
-                ss = cs[i] != p[(i + 1) % n]
-                self._stale_succ[i] = ss
-                stale += ss
-        self._holders_mask = mask
-        self._stale_count = stale
+        self._census.recount()
 
     def _sync_out(self) -> None:
         """Mirror engine-side flags/counters back onto the facade objects."""
@@ -256,21 +232,9 @@ class FastCSTNetwork(MessagePassingNetwork):
             node._action_pending = self._pending_act[i]
 
     # -- observation -------------------------------------------------------
-    def _holders_tuple(self) -> Tuple[int, ...]:
-        mask = self._holders_mask
-        memo = self._mask_memo
-        t = memo.get(mask)
-        if t is None:
-            if len(memo) > 4096:
-                memo.clear()
-            t = memo[mask] = tuple(
-                i for i in range(self._n) if mask >> i & 1
-            )
-        return t
-
     def token_holders(self) -> Tuple[int, ...]:
         """Own-view holder set, from the incrementally maintained bits."""
-        return self._holders_tuple()
+        return self._census.holders()
 
     def observe(self) -> None:
         """Reference-point observation on packed state.
@@ -280,22 +244,23 @@ class FastCSTNetwork(MessagePassingNetwork):
         native legitimate+coherent stabilization check, evaluated at
         precisely the reference's observation points.
         """
-        mask = self._holders_mask
+        census = self._census
+        mask = census.mask
         if mask != self._last_mask:
             # The reference records unconditionally and lets the timeline
             # coalesce on tuple equality; comparing masks first is the same
             # decision without materializing the tuple.
-            self.timeline.record(self.queue.now, self._holders_tuple())
+            self.timeline.record(self.queue.now, census.holders())
             self._last_mask = mask
         if self.bus._subscribers:
             self.bus.publish("network", "census", self.queue.now,
-                             holders=list(self._holders_tuple()))
+                             holders=list(census.holders()))
         if self.observers:
             for callback in self.observers:
                 callback(self)
-        if self._stab_time is None and self._stale_count == 0:
-            if self.codec.is_legitimate(self._p):
-                self._stab_time = self.queue.now
+        if (self._stab_time is None and census.stale == 0
+                and census.legitimate()):
+            self._stab_time = self.queue.now
 
     def stabilized_time(self) -> Optional[float]:
         """First observation-point time at which the network was legitimate
@@ -318,9 +283,11 @@ class FastCSTNetwork(MessagePassingNetwork):
         """Whether legitimate + cache-coherent holds at this instant.
 
         The poll-time (non-observation-point) check the reference tracker
-        performs directly on the object graph; O(n) on packed state.
+        performs directly on the object graph; O(1) from the census, plus
+        one legitimacy pass on packed state when a state has changed.
         """
-        return self._stale_count == 0 and self.codec.is_legitimate(self._p)
+        census = self._census
+        return census.stale == 0 and census.legitimate()
 
     # -- engine primitives -------------------------------------------------
     def _transmit(self, lid: int, packed: int) -> None:
@@ -393,28 +360,9 @@ class FastCSTNetwork(MessagePassingNetwork):
     def _set_state(self, i: int, packed: int) -> None:
         """Write a node's state and maintain every incremental structure,
         then observe (the reference's ``on_state_change`` point)."""
-        n = self._n
-        self._p[i] = packed
+        self._census.set_state(i, packed)
         self.nodes[i].state = self.codec.unpack(packed)
-        succ = (i + 1) % n
-        sp = self._cp[succ] != packed
-        if sp != self._stale_pred[succ]:
-            self._stale_pred[succ] = sp
-            self._stale_count += 1 if sp else -1
-        if self._bidir:
-            pred = (i - 1) % n
-            ss = self._cs[pred] != packed
-            if ss != self._stale_succ[pred]:
-                self._stale_succ[pred] = ss
-                self._stale_count += 1 if ss else -1
-        self._refresh_hold(i)
         self.observe()
-
-    def _refresh_hold(self, i: int) -> None:
-        b = self.codec.holds_token(self._p[i], self._cp[i], self._cs[i], i)
-        if b != self._hold[i]:
-            self._hold[i] = b
-            self._holders_mask ^= 1 << i
 
     def _try_execute(self, i: int) -> bool:
         codec = self.codec
@@ -435,19 +383,10 @@ class FastCSTNetwork(MessagePassingNetwork):
         src = self._l_src[lid]
         self._messages_received[dst] += 1
         if self._l_slot[lid] == 0:
-            self._cp[dst] = packed
-            sp = packed != self._p[src]
-            if sp != self._stale_pred[dst]:
-                self._stale_pred[dst] = sp
-                self._stale_count += 1 if sp else -1
+            self._census.set_pred_cache(dst, packed)
         else:
-            self._cs[dst] = packed
-            ss = packed != self._p[src]
-            if ss != self._stale_succ[dst]:
-                self._stale_succ[dst] = ss
-                self._stale_count += 1 if ss else -1
+            self._census.set_succ_cache(dst, packed)
         self.nodes[dst].cache[src] = self.codec.unpack(packed)
-        self._refresh_hold(dst)
         if not self._has_dwell:
             changed = self._try_execute(dst)
             if self._chatty[dst] or changed:
@@ -588,20 +527,7 @@ class FastCSTNetwork(MessagePassingNetwork):
         node = self.nodes[index]
         packed = self._pack_state(new_state, f"state of node {index}")
         node.state = new_state
-        n = self._n
-        self._p[index] = packed
-        succ = (index + 1) % n
-        sp = self._cp[succ] != packed
-        if sp != self._stale_pred[succ]:
-            self._stale_pred[succ] = sp
-            self._stale_count += 1 if sp else -1
-        if self._bidir:
-            pred = (index - 1) % n
-            ss = self._cs[pred] != packed
-            if ss != self._stale_succ[pred]:
-                self._stale_succ[pred] = ss
-                self._stale_count += 1 if ss else -1
-        self._refresh_hold(index)
+        self._census.set_state(index, packed)
         # The reference fires on_state_change unconditionally, which lands
         # in the network's observe; mirror that observation point.
         self.observe()
@@ -615,20 +541,10 @@ class FastCSTNetwork(MessagePassingNetwork):
             value, f"cache[{neighbor}] of node {index}"
         )
         node.cache[neighbor] = value
-        n = self._n
-        if neighbor == (index - 1) % n:
-            self._cp[index] = packed
-            sp = packed != self._p[neighbor]
-            if sp != self._stale_pred[index]:
-                self._stale_pred[index] = sp
-                self._stale_count += 1 if sp else -1
+        if neighbor == (index - 1) % self._n:
+            self._census.set_pred_cache(index, packed)
         else:
-            self._cs[index] = packed
-            ss = packed != self._p[neighbor]
-            if ss != self._stale_succ[index]:
-                self._stale_succ[index] = ss
-                self._stale_count += 1 if ss else -1
-        self._refresh_hold(index)
+            self._census.set_succ_cache(index, packed)
         self.observe()
 
     def fail_link(self, a: int, b: int, duration: float) -> None:

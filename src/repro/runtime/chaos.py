@@ -250,7 +250,9 @@ def cache_scramble(n: int, seed: int = 0) -> ChaosScript:
 
     Values are left ``None`` in the ops; the supervisor draws them from
     its seeded fault RNG at apply time, which keeps the script shape
-    independent of the algorithm's state domain.
+    independent of the algorithm's state domain.  The corrupted cache
+    entry is the predecessor's, which every ring kind caches (a
+    unidirectional ring has no successor entry).
     """
     mid = n // 2
     return ChaosScript(
@@ -258,7 +260,7 @@ def cache_scramble(n: int, seed: int = 0) -> ChaosScript:
         ops=(
             ChaosOp(at=0.5, kind="corrupt-state", params={"node": 1 % n}),
             ChaosOp(at=0.9, kind="corrupt-cache",
-                    params={"node": mid, "neighbor": (mid + 1) % n}),
+                    params={"node": mid, "neighbor": (mid - 1) % n}),
             ChaosOp(at=1.3, kind="corrupt-state", params={"node": n - 1}),
         ),
     )

@@ -10,6 +10,12 @@ SSRmin, exactly 1 for Dijkstra).  :class:`HealthMonitor` applies those
 predicates *online*: the supervisor notifies it after every state change,
 cache update and timer fire, and the monitor tracks stabilization epochs.
 
+The check itself runs on an incremental :class:`~repro.kernels.census.
+Census` — the same bookkeeping the packed DES uses — fed the one node
+that changed, so a notification costs O(1) instead of a full snapshot.
+:meth:`HealthMonitor.snapshot` rebuilds the same three facts from the node
+objects and stays as the oracle (and the dashboard's reading).
+
 An **epoch** starts at boot and at every disturbance (a chaos op, a node
 crash/restart).  Within an epoch the monitor looks for the first instant
 that is simultaneously legitimate + cache-coherent — Theorem 4's entry
@@ -31,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import RingAlgorithm
+from repro.kernels.census import Census
 from repro.messagepassing.coherence import stale_entries
 from repro.verification.conformance.oracle import TOKEN_BOUNDS
 
@@ -98,7 +105,9 @@ class HealthMonitor:
         The algorithm instance the ring runs.
     nodes:
         ``nodes()`` returns the current node objects, indexable by process
-        index (restarts swap node objects, so the monitor re-reads).
+        index.  The monitor reads them all at boot, on :meth:`notify`
+        without a node and in :meth:`snapshot`; otherwise it is told which
+        node changed (restarts swap node objects, so it never caches one).
     clock:
         ``clock()`` in seconds since boot (the supervisor's run clock).
     """
@@ -146,6 +155,38 @@ class HealthMonitor:
         #: Notifications where a stabilized epoch had zero own-view tokens
         #: (a Theorem 3 violation) or exceeded the upper bound.
         self.guarantee_violations: List[dict] = []
+        n = algorithm.n
+        self._bidir = algorithm.ring.bidirectional
+        # One local view per node with ``None`` off the three cached
+        # positions, so a guard that reads further still fails loudly.
+        self._views = [[None] * n for _ in range(n)]
+        #: The ring's own-view census over native states (a live node can
+        #: hold a fault value outside any packed domain).
+        self.census = Census(n, self._holds, self._legit, self._bidir)
+
+    def _holds(self, own: Any, cpred: Any, csucc: Any, i: int) -> bool:
+        census = self.census
+        view = self._views[i]
+        view[census.pred[i]] = cpred
+        if self._bidir:
+            view[census.succ[i]] = csucc
+        view[i] = own
+        return bool(self.algorithm.node_holds_token(view, i))
+
+    def _legit(self, states: Sequence[Any]) -> bool:
+        alg = self.algorithm
+        return alg.is_legitimate(alg.normalize_configuration(tuple(states)))
+
+    def _load(self) -> None:
+        """Copy every node's state and cache entries into the census."""
+        census = self.census
+        for node in self._nodes():
+            i = node.index
+            census.p[i] = node.state
+            census.cp[i] = node.cache[census.pred[i]]
+            if self._bidir:
+                census.cs[i] = node.cache[census.succ[i]]
+        census.recount()
 
     # -- epoch control -------------------------------------------------------
     @property
@@ -191,18 +232,33 @@ class HealthMonitor:
             own_view_holders=holders,
         )
 
-    def notify(self) -> HealthSnapshot:
-        """Run the health check now; called after every observable event."""
+    def notify(self, node: Any = None) -> None:
+        """Run the health check now; called after every observable event.
+
+        ``node`` is the node object that changed: its state and cache
+        entries are copied into the census, in O(1).  Without it every
+        node is reloaded — at boot (so the first call passes no node), and
+        for callers that edit node objects directly.
+        """
         self.checks += 1
-        snap = self.snapshot()
+        census = self.census
+        if node is None:
+            self._load()
+        else:
+            i = node.index
+            cache = node.cache
+            census.set_state(i, node.state)
+            census.set_pred_cache(i, cache[census.pred[i]])
+            if self._bidir:
+                census.set_succ_cache(i, cache[census.succ[i]])
         epoch = self.current_epoch
         if epoch.stabilized_at is None:
-            if snap.legitimate and snap.coherent:
-                epoch.stabilized_at = snap.time
+            if census.stale == 0 and census.legitimate():
+                epoch.stabilized_at = self.clock()
                 if self.on_epoch_stabilized is not None:
                     self.on_epoch_stabilized(len(self.epochs) - 1, epoch)
         if epoch.stabilized_at is not None and self.active_disturbances == 0:
-            count = len(snap.own_view_holders)
+            count = census.count()
             if self.post_stab_min_holders is None:
                 self.post_stab_min_holders = count
                 self.post_stab_max_holders = count
@@ -221,23 +277,21 @@ class HealthMonitor:
                 # for SSRmin, but only on coherent instants for
                 # non-graceful algorithms, whose census legitimately dips
                 # to zero while a handover message is in flight.
-                low_breach = (
-                    count < lo
-                    if self.guaranteed_throughout
-                    else (snap.legitimate and snap.coherent and count < lo)
+                low_breach = count < lo and (
+                    self.guaranteed_throughout
+                    or (census.stale == 0 and census.legitimate())
                 )
-                if low_breach or (snap.legitimate and count > hi):
+                if low_breach or (count > hi and census.legitimate()):
                     record = {
-                        "time": snap.time,
-                        "holders": list(snap.own_view_holders),
-                        "legitimate": snap.legitimate,
+                        "time": self.clock(),
+                        "holders": list(census.holders()),
+                        "legitimate": census.legitimate(),
                         "epoch": epoch.label,
                         "epoch_index": len(self.epochs) - 1,
                     }
                     self.guarantee_violations.append(record)
                     if self.on_violation is not None:
                         self.on_violation(record)
-        return snap
 
     # -- reporting -----------------------------------------------------------
     @property

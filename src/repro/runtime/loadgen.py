@@ -131,13 +131,8 @@ class LoadGenerator:
 
     # -- the tick ------------------------------------------------------------
     def _holders(self) -> int:
-        """Own-view token census, straight off the live node objects."""
-        sup = self.supervisor
-        alg = sup.algorithm
-        return sum(
-            1 for server in sup.servers
-            if alg.node_holds_token(server.node.view(), server.node.index)
-        )
+        """Own-view token holders, from the health monitor's census."""
+        return self.supervisor.health.census.count()
 
     def _arrivals(self, dt: float) -> int:
         """Stochastically-rounded ``rate * dt`` (exact in expectation)."""

@@ -168,7 +168,7 @@ class RingSupervisor:
         self._backoff: Dict[int, int] = {}
         self._next_restart_at: Dict[int, float] = {}
         self._booted = False
-        self._last_census: Optional[tuple] = None
+        self._last_census: Optional[int] = None
         self.total_restarts = 0
         self.crashes_requested = 0
 
@@ -299,19 +299,22 @@ class RingSupervisor:
 
     # -- node events ---------------------------------------------------------
     def _node_event(self, kind: str, **fields) -> None:
+        node = fields["node"]
         if kind == "state_change":
-            self.publish("state_change", node=fields["node"],
+            self.publish("state_change", node=node,
                          new=list(fields["new"])
                          if isinstance(fields["new"], tuple)
                          else fields["new"])
-        snap = self.health.notify()
-        census = snap.own_view_holders
-        if census != self._last_census:
-            self._last_census = census
+        # Looked up per call (not cached as a bound method) so that a
+        # wrapper installed on ``HealthMonitor.notify`` sees every event.
+        self.health.notify(self.servers[node].node)
+        census = self.health.census
+        if census.mask != self._last_census:
+            self._last_census = census.mask
             if self.bus.active:
-                self.publish("census", holders=list(census),
-                             legitimate=snap.legitimate,
-                             coherent=snap.coherent)
+                self.publish("census", holders=list(census.holders()),
+                             legitimate=census.legitimate(),
+                             coherent=census.stale == 0)
 
     # -- the liveness watchdog -----------------------------------------------
     async def _watchdog_loop(self) -> None:
@@ -353,6 +356,7 @@ class RingSupervisor:
         server.start()
         # A restart is a transient fault from the ring's point of view.
         self.health.note_disturbance(f"restart-{i}")
+        self.health.notify(server.node)
         self.publish("node_restart", node=i, reason=reason,
                      backoff=backoff, restarts=restarts)
 
@@ -397,7 +401,7 @@ class RingSupervisor:
         node.cache[neighbor] = value
         self.health.note_disturbance(f"corrupt-cache-{i}")
         self.publish("fault", fault="corrupt-cache", node=i, neighbor=neighbor)
-        self.health.notify()
+        self.health.notify(node)
 
     # -- run modes -----------------------------------------------------------
     async def run_for(self, duration: float) -> None:

@@ -80,7 +80,8 @@ def test_disturbance_before_first_stabilization():
     # Repair: legitimate + coherent for the first time ever.
     nodes[0].cache[1] = nodes[1].state
     clock[0] = 0.8
-    snap = monitor.notify()
+    monitor.notify()
+    snap = monitor.snapshot()
     assert snap.legitimate and snap.coherent
     assert monitor.stabilized
     assert monitor.epochs[1].time_to_stabilize == 0.8 - 0.5

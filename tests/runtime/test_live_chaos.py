@@ -81,6 +81,20 @@ def test_cache_scramble_end_to_end(outcome):
     assert any(lbl.startswith("corrupt-cache") for lbl in labels)
 
 
+def test_cache_scramble_on_unidirectional_ring():
+    """Dijkstra's nodes cache only their predecessor, so the script's
+    cache fault must hit an entry every ring kind has."""
+    report = live_chaos(
+        script="cache_scramble", algorithm="dijkstra", n=4,
+        transport="loopback", seed=47, timer_interval=0.05,
+        stabilize_timeout=STABILIZE_TIMEOUT,
+    )
+    health = report["health"]
+    assert health["stabilized"]
+    labels = [e["label"] for e in health["epochs"]]
+    assert any(lbl.startswith("corrupt-cache") for lbl in labels)
+
+
 @pytest.mark.slow
 def test_crash_restart_script_restabilizes():
     report = live_chaos(
