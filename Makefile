@@ -10,8 +10,9 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
+# Every experiment in full mode; exits 1 if any claim does not reproduce.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m repro run $$($(PYTHON) -m repro list) --no-telemetry
 
 report:
 	$(PYTHON) -m repro report -o EXPERIMENTS.md
@@ -27,4 +28,4 @@ examples:
 
 clean:
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +
-	rm -rf .pytest_cache .hypothesis .benchmarks
+	rm -rf .pytest_cache .hypothesis

@@ -11,8 +11,8 @@
 * :mod:`repro.analysis.superstabilization` — single-fault recovery and
   safety-predicate studies (ext1).
 * :mod:`repro.analysis.service` — critical-section service fairness (ext3).
-* :mod:`repro.analysis.profiling` — stopwatches, repeat timing and cProfile
-  hotspot extraction (the measure-before-optimizing workflow).
+* :mod:`repro.analysis.profiling` — the stopwatch that times experiment
+  phases.
 * :mod:`repro.analysis.fairness` — schedule starvation analysis (how unfair
   was the daemon, really).
 * :mod:`repro.analysis.distributions` — two-sample statistical tests for
@@ -30,7 +30,7 @@ from repro.analysis.superstabilization import (
     study_single_fault,
 )
 from repro.analysis.service import ServiceMonitor, service_report, jain_fairness
-from repro.analysis.profiling import Stopwatch, time_callable, profile_callable
+from repro.analysis.profiling import Stopwatch
 from repro.analysis.fairness import FairnessReport, starvation_report
 from repro.analysis.distributions import (
     DistributionComparison,
@@ -55,8 +55,6 @@ __all__ = [
     "service_report",
     "jain_fairness",
     "Stopwatch",
-    "time_callable",
-    "profile_callable",
     "FairnessReport",
     "starvation_report",
     "DistributionComparison",

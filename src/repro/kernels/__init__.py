@@ -14,8 +14,10 @@ new backend (or a new algorithm in PR 11+) lands its semantics once:
   full-pass packed-word legitimacy predicate;
 * :mod:`repro.kernels.successor` — ``next_x`` (the one copy of ``C_i``)
   and the packed-word rule executors;
-* :mod:`repro.kernels.batched` — the vectorized numpy expressions over
-  ``(trials, n)`` state arrays plus the lockstep convergence-cell runner;
+* :mod:`repro.kernels.batched` — the one batched engine: vectorized
+  numpy expressions over ``(trials, n)`` state arrays and the lockstep
+  step loop behind the convergence-cell runner and the configuration
+  stepper;
 * :mod:`repro.kernels.prng` — counter-based (splitmix64) randomness that
   makes batched trajectories a pure function of per-cell seeds;
 * :mod:`repro.kernels.census` — the incremental own-view token census

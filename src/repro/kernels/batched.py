@@ -1,15 +1,13 @@
 """Batched numpy backend over the shared rule table.
 
-The array expressions that used to live privately inside
-:class:`repro.simulation.batch.BatchSSRmin` — the rule-table gather, the
-vectorized legitimacy/privilege predicates and the command vector — now
-live here so every batched consumer (the Theorem-2 batch engine, the
-sweep engine's batched-cell mode, the benchmark) evaluates the *same*
-expressions against the *same* :data:`~repro.kernels.rule_table.RULE_TABLE`.
+The one batched SSRmin engine: the rule-table gather, the vectorized
+legitimacy/privilege predicates, the command vector and the lockstep
+step loop, over the *same* :data:`~repro.kernels.rule_table.RULE_TABLE`
+the scalar engines resolve rules with.
 
 All functions take states as ``(trials, n)`` integer arrays: ``X`` holds
 the Dijkstra counters (int64: ``K`` has no upper bound), ``H`` the 2-bit
-handshake codes (any integer dtype; the convergence runner uses uint8).
+handshake codes (any integer dtype; the step loop uses uint8).
 
 :func:`run_convergence_cells` is the sweep engine's vectorized cell
 executor: it advances one *homogeneous group* of convergence cells (same
@@ -30,11 +28,15 @@ resumable sweep store leans on.  The step loop works on live lanes only:
 * the synchronous and Bernoulli daemons move many processes per step and
   recompute every guard of the live lanes;
 * the per-seed half of every PRNG key is hashed once per run.
+
+:func:`advance_configurations` runs the same step loop from given
+configurations instead of seeded random ones, with the same keyed draws
+and no retirement (ext4 watches Theorem 1's band on it).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -354,6 +356,47 @@ class _Lanes:
         self.recount()
 
 
+def _check_instance(n: int, K: Optional[int]) -> int:
+    """Validate an SSRmin(n, K) instance; ``K`` defaults to ``n + 1``."""
+    if n < 3:
+        raise ValueError(f"SSRmin requires n >= 3, got {n}")
+    K = n + 1 if K is None else K
+    if K <= n:
+        raise ValueError(f"K must exceed n (got K={K}, n={n})")
+    return K
+
+
+def advance_configurations(
+    X: np.ndarray,
+    H: np.ndarray,
+    seeds: Sequence[int],
+    daemon: str = "bernoulli:0.5",
+    *,
+    K: Optional[int] = None,
+    steps: int,
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Advance given configurations ``steps`` daemon steps in lockstep.
+
+    Row ``r`` of ``(X, H)`` moves under the daemon decisions keyed by
+    ``(seeds[r], stream, k)`` — the draws :func:`run_convergence_cells`
+    makes for that seed's cell at step ``k`` — whether or not it is
+    legitimate.  Yields the configurations ``(X, H)`` after each step
+    ``k = 1 .. steps``; the arrays are the step loop's own, valid until
+    the next step, and the caller's inputs are never written.
+    """
+    X = np.asarray(X, dtype=np.int64)
+    H = np.asarray(H, dtype=np.uint8)
+    K = _check_instance(X.shape[1], K)
+    kind, p = parse_daemon(daemon)
+    seeds = np.asarray(list(seeds), dtype=np.int64)
+    if X.shape != H.shape or seeds.shape != X.shape[:1]:
+        raise ValueError("X, H and seeds must agree in shape")
+    lanes = _Lanes(X, H, seeds, np.arange(len(seeds)), K, kind, p)
+    for k in range(1, steps + 1):
+        lanes.step(k)
+        yield lanes.X, lanes.H
+
+
 def run_convergence_cells(
     n: int,
     seeds: Sequence[int],
@@ -376,11 +419,7 @@ def run_convergence_cells(
     — default ``60 n^2 + 600``, the Theorem-2 envelope with slack — runs
     out, which would falsify Lemma 6).
     """
-    if n < 3:
-        raise ValueError(f"SSRmin requires n >= 3, got {n}")
-    K = n + 1 if K is None else K
-    if K <= n:
-        raise ValueError(f"K must exceed n (got K={K}, n={n})")
+    K = _check_instance(n, K)
     kind, p = parse_daemon(daemon)
     budget = 60 * n * n + 600 if budget is None else int(budget)
     seeds = np.asarray(list(seeds), dtype=np.int64)
@@ -413,6 +452,7 @@ __all__ = [
     "STREAM_INIT_H",
     "STREAM_INIT_X",
     "STREAM_PICK",
+    "advance_configurations",
     "batched_commands",
     "batched_guards",
     "batched_legitimate",

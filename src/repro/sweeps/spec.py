@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Any, Dict, List, Tuple
@@ -109,10 +110,18 @@ class SweepSpec:
                 f"kind {self.kind!r} supports algorithms "
                 f"{KIND_ALGORITHMS[self.kind]}, got {self.algorithm!r}"
             )
-        # Tuple-ify (tolerates lists from JSON round-trips).
+        # Tuple-ify (tolerates lists from JSON round-trips).  A value whose
+        # key text repeats (0.1 twice, or 0.1 and 0.1000001) would
+        # enumerate one cell key twice and count its result twice in every
+        # group statistic.
         for fld in ("n_values", "seeds", "daemons", "loss_rates",
                     "delay_scales", "duplication_rates"):
-            object.__setattr__(self, fld, tuple(getattr(self, fld)))
+            values = tuple(getattr(self, fld))
+            object.__setattr__(self, fld, values)
+            repeated = [k for k, c in Counter(map(_fmt, values)).items()
+                        if c > 1]
+            if repeated:
+                raise ValueError(f"{fld} repeats {repeated}")
         for axis, values in (("n_values", self.n_values),
                              ("seeds", self.seeds)):
             if not values:

@@ -6,8 +6,8 @@ The observability layer shared by both execution models (see
 * :mod:`repro.telemetry.metrics` — labelled counters / gauges /
   histograms with cheap no-op behaviour when disabled;
 * :mod:`repro.telemetry.events` — the one :class:`Event` schema every
-  layer publishes (engine steps, batch iterations, link sends/losses,
-  timers, token censuses);
+  layer publishes (engine steps, link sends/losses, timers, token
+  censuses);
 * :mod:`repro.telemetry.session` — the ambient :class:`TelemetrySession`
   instrumented code consults (``with telemetry_session(...)``);
 * :mod:`repro.telemetry.export` — incremental JSONL trace writing and

@@ -1,9 +1,9 @@
 """The structured event bus: one ``Event`` schema for every layer.
 
 Both execution models publish into this bus — the state-reading engine
-(layer ``"engine"``), the vectorized batch engine (layer ``"batch"``), the
-CST message-passing network (layer ``"network"``) and the experiment
-harness (layer ``"experiment"``).  Every event carries:
+(layer ``"engine"``), the CST message-passing network (layer
+``"network"``) and the experiment harness (layer ``"experiment"``).
+Every event carries:
 
 * ``seq`` — a monotonically increasing sequence number (total order of
   observation, even across layers when buses share a sequencer);
@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterator, List, Optional
 Subscriber = Callable[["Event"], None]
 
 #: Known source layers (informative, not enforced).
-LAYERS = ("engine", "batch", "network", "experiment")
+LAYERS = ("engine", "network", "experiment")
 
 
 @dataclass(frozen=True)

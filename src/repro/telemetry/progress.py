@@ -57,7 +57,7 @@ class ProgressEmitter:
     # The emitter *is* the subscriber callable.
     def __call__(self, event: Event) -> None:
         self.events += 1
-        if event.kind == "step" or event.kind == "batch_step":
+        if event.kind == "step":
             self.steps += 1
         elif event.kind == "send":
             self.messages += 1

@@ -8,11 +8,10 @@ is built from.
 
 Sessions are installed with the :func:`telemetry_session` context manager
 and discovered with :func:`current_session`.  Instrumented code
-(`simulation/engine.py`, `simulation/batch.py`,
-`messagepassing/network.py`, ...) looks the active session up **once per
-run**; when none is active the instrumentation collapses to a single
-``None`` check, which keeps the disabled overhead within the < 5% budget
-on the scalar-engine hot loop.
+(`simulation/engine.py`, `messagepassing/network.py`, ...) looks the
+active session up **once per run**; when none is active the
+instrumentation collapses to a single ``None`` check, which keeps the
+disabled overhead within the < 5% budget on the scalar-engine hot loop.
 
 The CST network owns its *own* bus (so :class:`MessageTrace` can attach to
 one network without global state); at construction time it asks the active

@@ -27,8 +27,6 @@ class TraceStats:
     engine_steps: int = 0
     #: Rule executions by rule name, from engine step moves.
     rules: Dict[str, int] = field(default_factory=dict)
-    #: Batch-engine lockstep iterations.
-    batch_steps: int = 0
     #: Network message accounting (send / deliver / loss / timer).
     messages: Dict[str, int] = field(default_factory=dict)
     #: Last own-view token census seen (any layer), if any.
@@ -64,8 +62,6 @@ class TraceStats:
             for move in event.payload.get("moves", ()):
                 rule = str(move[1])
                 self.rules[rule] = self.rules.get(rule, 0) + 1
-        elif event.layer == "batch" and event.kind == "batch_step":
-            self.batch_steps += 1
         elif event.layer == "network" and event.kind in (
             "send", "deliver", "loss", "timer"
         ):
@@ -112,8 +108,6 @@ class TraceStats:
                 f"{rule}={self.rules[rule]}" for rule in sorted(self.rules)
             )
             lines.append(f"rule executions: {per_rule}")
-        if self.batch_steps:
-            lines.append(f"batch steps: {self.batch_steps}")
         if self.messages:
             lines.append(
                 "messages: "

@@ -80,11 +80,13 @@ class TestOnRealWorkloads:
     def test_k_insensitivity_statistically(self):
         """abl5 as a statistical claim: K=n+1 vs K=16n convergence-step
         distributions are NOT meaningfully separated."""
-        from repro.simulation.batch import batch_convergence_steps
+        from repro.kernels.batched import run_convergence_cells
 
         n = 8
-        a = batch_convergence_steps(n=n, trials=300, K=n + 1, seed=0)
-        b = batch_convergence_steps(n=n, trials=300, K=16 * n, seed=1)
+        a = [r["steps"] for r in
+             run_convergence_cells(n, range(300), K=n + 1)]
+        b = [r["steps"] for r in
+             run_convergence_cells(n, range(300, 600), K=16 * n)]
         cmp = compare_distributions(a, b)
         assert abs(cmp.cliffs_delta) < 0.3
 

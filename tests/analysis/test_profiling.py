@@ -1,16 +1,8 @@
-"""Unit tests for the measurement utilities."""
-
-import time
+"""Unit tests for the experiment-phase stopwatch."""
 
 import pytest
 
-from repro.analysis.profiling import (
-    Hotspot,
-    Stopwatch,
-    compare_engines,
-    profile_callable,
-    time_callable,
-)
+from repro.analysis.profiling import Stopwatch
 
 
 class TestStopwatch:
@@ -35,60 +27,3 @@ class TestStopwatch:
             _ = sw.elapsed
         with pytest.raises(RuntimeError):
             sw.split("x")
-
-
-class TestTimeCallable:
-    def test_summary_shape(self):
-        summary = time_callable(lambda: sum(range(100)), repeats=5)
-        assert summary.n == 5
-        assert summary.mean > 0
-
-    def test_rejects_bad_repeats(self):
-        with pytest.raises(ValueError):
-            time_callable(lambda: None, repeats=0)
-
-    def test_rejects_negative_warmup(self):
-        with pytest.raises(ValueError):
-            time_callable(lambda: None, repeats=1, warmup=-1)
-
-    def test_warmup_runs_excluded(self):
-        calls = []
-        time_callable(lambda: calls.append(1), repeats=3, warmup=2)
-        assert len(calls) == 5  # warmup + repeats all execute
-
-    def test_zero_warmup_allowed(self):
-        calls = []
-        time_callable(lambda: calls.append(1), repeats=2, warmup=0)
-        assert len(calls) == 2
-
-    def test_per_sample_timings_surfaced(self):
-        summary = time_callable(lambda: sum(range(100)), repeats=4)
-        assert len(summary.samples) == 4
-        assert all(t > 0 for t in summary.samples)
-        assert min(summary.samples) == summary.minimum
-        assert max(summary.samples) == summary.maximum
-
-
-class TestProfileCallable:
-    def test_returns_hotspots(self):
-        def workload():
-            return sorted(range(10_000), key=lambda x: -x)
-
-        rows = profile_callable(workload, top=5)
-        assert 1 <= len(rows) <= 5
-        assert all(isinstance(r, Hotspot) for r in rows)
-        assert rows[0].cumulative_seconds >= rows[-1].cumulative_seconds
-
-    def test_rejects_bad_top(self):
-        with pytest.raises(ValueError):
-            profile_callable(lambda: None, top=0)
-
-
-class TestCompareEngines:
-    def test_batch_is_faster(self):
-        """The vectorized engine must beat the scalar one on this workload
-        — the justification for its existence."""
-        result = compare_engines(n=8, trials=40, seed=0)
-        assert result["scalar_seconds"] > 0
-        assert result["batch_seconds"] > 0
-        assert result["speedup"] > 1.0

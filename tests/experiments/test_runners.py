@@ -33,3 +33,26 @@ def test_results_have_tables():
         result = run_experiment(eid, fast=True)
         assert result.rows, f"{eid} produced no table rows"
         assert result.header
+
+
+def test_ext4_unconverged_ring_size_fails_cleanly(monkeypatch):
+    """A ring size whose cells run out of budget keeps its row and turns
+    the verdict into a mismatch; no power law is fitted without it."""
+    import repro.sweeps
+    from repro.experiments.runners_extensions import run_ext4
+
+    real = repro.sweeps.run_cells
+
+    def stalled(spec, **kwargs):
+        return [
+            {"steps": -1, "converged": False, "budget": 1}
+            if cell.params["n"] == 16 else result
+            for cell, result in zip(spec.cells(), real(spec, **kwargs))
+        ]
+
+    monkeypatch.setattr(repro.sweeps, "run_cells", stalled)
+    result = run_ext4(fast=True)
+    assert not result.match
+    assert [row[0] for row in result.rows] == ["8", "16", "32"]
+    assert result.rows[1][1:5] == ["0/200", "-", "-", "-"]
+    assert "did not converge" in result.measured

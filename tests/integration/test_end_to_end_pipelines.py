@@ -116,14 +116,18 @@ class TestFaultedNetworkServicePipeline:
 
 class TestScalingPipeline:
     def test_batch_sweep_to_fit(self):
-        """vectorized sweep -> summary -> power-law fit, end to end."""
-        from repro.simulation.batch import batch_convergence_steps
+        """batched sweep -> summary -> power-law fit, end to end."""
+        from repro.analysis.statistics import summarize
+        from repro.sweeps import SweepSpec, run_cells
 
         ns = (6, 12, 24)
-        means = []
-        for n in ns:
-            steps = batch_convergence_steps(n=n, trials=150, p=0.5, seed=n)
-            means.append(float(steps.mean()))
+        spec = SweepSpec(name="fit", n_values=ns, seeds=tuple(range(150)))
+        cells = run_cells(spec)
+        assert all(c["converged"] for c in cells)
+        means = [
+            summarize([c["steps"] for c in cells[i * 150:(i + 1) * 150]]).mean
+            for i in range(len(ns))
+        ]
         fit = fit_power_law(ns, means)
         assert 0.5 <= fit.exponent <= 2.2
         assert fit.r_squared > 0.9

@@ -1,6 +1,9 @@
 """Unit tests for the shared-memory simulation engine."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -120,3 +123,15 @@ class TestMonitors:
             init, max_steps=50
         )
         assert r1.execution.configurations == r2.execution.configurations
+
+
+def test_simulation_package_does_not_import_numpy():
+    """The scalar engines need no numpy; only the batched kernel does."""
+    code = ("import sys, repro.simulation, repro.simulation.fastpath\n"
+            "assert 'numpy' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir,
+                                     os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -58,6 +58,12 @@ def test_group_params_excludes_seed():
     {"name": "s", "kind": "des", "slice_duration": 0.0},
     {"name": "s", "kind": "des", "max_time": 0.0},
     {"name": "s", "kind": "des", "gap_duration": -5.0},
+    # A repeated axis value enumerates one cell key twice.
+    {"name": "d", "n_values": (6, 6), "seeds": (1, 1, 2)},
+    {"name": "s", "seeds": (0, 1, 2, 3, 2)},
+    {"name": "s", "daemons": ("central", "central")},
+    {"name": "s", "kind": "des", "loss_rates": (0.1, 0.1)},
+    {"name": "s", "kind": "des", "loss_rates": (0.1, 0.1000001)},
 ])
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(ValueError):

@@ -54,7 +54,7 @@ class TestProgressEmitter:
         emitter(Event(0, 0.0, "network", "send", {"src": 0, "dst": 1}))
         emitter(Event(1, 0.5, "network", "census", {"holders": [2, 4]}))
         clock.now = 1.0
-        emitter(Event(2, 1.0, "batch", "batch_step", {"step": 1}))
+        emitter(Event(2, 1.0, "network", "deliver", {"src": 0, "dst": 1}))
         line = stream.getvalue()
         assert line.startswith("[progress fig13]")
         assert "1 msgs" in line

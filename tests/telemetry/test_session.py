@@ -2,12 +2,14 @@
 trace files and run manifests."""
 
 import os
+import random
 
 from repro.core.ssrmin import SSRmin
+from repro.daemons.distributed import BernoulliDaemon
 from repro.messagepassing.cst import transformed
 from repro.messagepassing.links import UniformDelay
 from repro.messagepassing.trace import MessageTrace
-from repro.simulation.batch import batch_convergence_steps
+from repro.simulation.convergence import converge
 from repro.telemetry import (
     TraceStats,
     current_session,
@@ -131,14 +133,21 @@ class TestTraceFile:
         assert "deliver" in kinds
 
 
-class TestBatchInstrumentation:
+class TestConvergenceInstrumentation:
     def test_convergence_histogram_observed(self):
+        alg = SSRmin(5, 6)
+        rng = random.Random(0)
         with telemetry_session() as session:
-            batch_convergence_steps(n=5, trials=16, p=0.5, seed=0)
+            results = [
+                converge(alg, BernoulliDaemon(0.5, seed=s),
+                         alg.random_configuration(rng))
+                for s in range(16)
+            ]
         hist = session.registry.get("convergence_steps")
         assert hist is not None
-        assert hist.count(engine="batch") == 16
-        assert session.registry.get("batch_steps_total").total() > 0
+        assert hist.count(engine="scalar") == 16
+        assert session.registry.get("steps_total").total() == sum(
+            r.steps for r in results)
 
 
 class TestInstrumentedExperiment:

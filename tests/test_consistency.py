@@ -1,42 +1,15 @@
 """Repository consistency gates.
 
-The registry, the benchmarks directory and DESIGN.md's per-experiment index
+The registry, DESIGN.md's per-experiment index and EXPERIMENTS.md
 describe the same set of experiments from three angles; these tests keep
 them synchronized as the repository grows.
 """
 
 import pathlib
-import re
 
 from repro.experiments import list_experiments
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def bench_sources():
-    text = {}
-    for path in (ROOT / "benchmarks").glob("bench_*.py"):
-        text[path.name] = path.read_text()
-    return text
-
-
-def test_every_experiment_has_a_bench():
-    benches = bench_sources()
-    missing = []
-    for eid in list_experiments():
-        if not any(f'"{eid}"' in src for src in benches.values()):
-            missing.append(eid)
-    assert not missing, f"experiments without benches: {missing}"
-
-
-def test_every_experiment_bench_targets_known_id():
-    ids = set(list_experiments())
-    stray = []
-    for name, src in bench_sources().items():
-        for match in re.findall(r'run_and_check\(benchmark, "(\w+)"', src):
-            if match not in ids:
-                stray.append((name, match))
-    assert not stray, f"benches targeting unknown experiments: {stray}"
 
 
 def test_every_experiment_indexed_in_design():
