@@ -351,13 +351,12 @@ def run_ext7(fast: bool = False) -> ExperimentResult:
 
     rows: List[List[str]] = []
     ok = True
-    instances = ((3, 4),) if fast else ((3, 4), (3, 5))
+    instances = ((3, 4),) if fast else ((3, 4), (3, 5), (4, 5))
     for n, K in instances:
         alg = SSRmin(n, K)
-        exact = worst_case_convergence_steps(
-            TransitionSystem(alg, "distributed")
-        )
-        witness = worst_case_witness(TransitionSystem(alg, "distributed"))
+        ts = TransitionSystem(alg, "distributed")
+        exact = worst_case_convergence_steps(ts)
+        witness = worst_case_witness(ts)
         start = witness[0]
 
         # How close does the greedy lookahead adversary get, from the SAME

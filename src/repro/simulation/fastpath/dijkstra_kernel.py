@@ -182,3 +182,11 @@ class DijkstraKernel(FastKernel):
 
     def digit(self, state: int) -> int:
         return state
+
+    def shift_key(self, key: int, c: int) -> int:
+        K = self.K
+        out = 0
+        for w in reversed(self.key_weights):
+            key, d = divmod(key, K)
+            out += ((d + c) % K) * w
+        return out

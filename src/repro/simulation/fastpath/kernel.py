@@ -16,8 +16,9 @@ enabledness only at ``i-1``, ``i`` and ``i+1`` — see
 ``docs/PERFORMANCE.md`` for the full argument.
 
 Kernels also provide packed-int state keys (collision-free encodings used
-by the explicit-state model checker instead of hashing tuples-of-tuples)
-and fast legitimacy predicates with O(1) counter-based rejection.
+by the explicit-state model checker instead of hashing tuples-of-tuples),
+the x-shift symmetry on those keys (the model checker's Z_K quotient) and
+fast legitimacy predicates with O(1) counter-based rejection.
 """
 
 from __future__ import annotations
@@ -152,6 +153,34 @@ class FastKernel(abc.ABC):
     def unpack_key(self, key: int) -> Any:
         """Decode a packed key back into an algorithm-native configuration
         (inverse of :meth:`pack_key`), without loading it."""
+
+    # -- x-shift symmetry ----------------------------------------------------
+    #: Modulus of the counters ``x``; the shift group is Z_K (set by
+    #: subclasses).
+    K: int
+
+    @abc.abstractmethod
+    def shift_key(self, key: int, c: int) -> int:
+        """Key of the configuration with ``c`` added mod K to every ``x``.
+
+        Guards only compare x values and commands either copy one or add
+        1 to one, so the shift commutes with every transition (successor
+        keys, in :meth:`enabled`-subset order) and keeps legitimacy; it
+        fixes no configuration for ``c % K != 0``, so every orbit has
+        exactly K members.
+        """
+
+    def canonical_key(self, key: int) -> int:
+        """The representative of ``key``'s orbit: its shift with ``x_0 = 0``.
+
+        Process 0 is the key's leading digit and ``x_0`` its most
+        significant part, so the orbit member with ``x_0 = c`` lies in
+        ``[c * R, (c + 1) * R)`` with ``R = key_base ** n // K``: the
+        representatives are exactly the keys ``range(R)``, and each is
+        the smallest key of its orbit.
+        """
+        x0 = key * self.K // (self.key_weights[0] * self.key_base)
+        return self.shift_key(key, -x0) if x0 else key
 
 
 class PackedView(_SequenceABC):

@@ -282,3 +282,11 @@ class SSRminKernel(FastKernel):
     def digit(self, state: StateTuple) -> int:
         x, rts, tra = state
         return (x << 2) | (rts << 1) | tra
+
+    def shift_key(self, key: int, c: int) -> int:
+        base, K = self.key_base, self.K
+        out = 0
+        for w in reversed(self.key_weights):
+            key, d = divmod(key, base)
+            out += (((((d >> 2) + c) % K) << 2) | (d & 3)) * w
+        return out

@@ -14,7 +14,10 @@ completion:
      (:func:`repro.kernels.batched.run_convergence_cells`), amortizing
      per-cell task setup into one numpy pipeline.  Counter-based per-cell
      randomness makes the results identical to running each cell alone —
-     ``tests/sweeps/test_engine.py`` asserts this cell-by-cell;
+     ``tests/sweeps/test_engine.py`` asserts this cell-by-cell.  Under a
+     telemetry session each kernel group publishes one ``engine/run_start``
+     (``engine="batched"``), its ``steps_total`` and one
+     ``convergence_steps`` observation per converged cell;
    * **per-cell mode**: one task per cell through
      :func:`repro.experiments.parallel.run_tasks_parallel` (the
      pre-kernel-layer execution shape; DES cells always run this way);
@@ -138,6 +141,24 @@ def _publish_progress(
     session.bus.publish("sweep", "sweep_progress", float(done), **fields)
 
 
+def _publish_group(
+    session: Any, daemon: str, results: Sequence[Dict[str, Any]]
+) -> None:
+    """A batched group's steps and convergence times, under the names the
+    scalar engine uses (``steps_total``, ``convergence_steps``)."""
+    histogram = session.registry.histogram(
+        "convergence_steps", "steps until first legitimacy")
+    taken = 0
+    for result in results:
+        if result["converged"]:
+            taken += result["steps"]
+            histogram.observe(float(result["steps"]), engine="batched")
+        else:
+            taken += result["budget"]
+    session.registry.counter(
+        "steps_total", "engine transitions taken").inc(taken, daemon=daemon)
+
+
 def _batch_groups(
     cells: Sequence[CellSpec],
 ) -> List[Tuple[Tuple[int, str], List[CellSpec]]]:
@@ -167,16 +188,26 @@ def _execute(
     """
     if batched:
         from repro.kernels.batched import run_convergence_cells
+        from repro.telemetry.session import current_session
 
         for (n, daemon), group in _batch_groups(cells):
             for lo in range(0, len(group), GROUP_CHUNK):
                 chunk = group[lo:lo + GROUP_CHUNK]
+                session = current_session()
+                if session is not None:
+                    session.bus.publish(
+                        "engine", "run_start", 0.0,
+                        algorithm="SSRmin", n=n, K=n + 1,
+                        daemon=daemon, cells=len(chunk), engine="batched",
+                    )
                 g0 = time.perf_counter()
                 results = run_convergence_cells(
                     n, [c.seed for c in chunk], daemon,
                     budget=spec.max_steps or None,
                 )
                 per_cell_wall = (time.perf_counter() - g0) / len(chunk)
+                if session is not None:
+                    _publish_group(session, daemon, results)
                 for cell, result in zip(chunk, results):
                     on_cell(cell, result, "batched", per_cell_wall)
         return

@@ -12,17 +12,23 @@
   longest path through the illegitimate region, which equals the value of
   the game where the daemon maximizes time-to-Lambda.
 
-Convergence + the longest path are computed together by an iterative DFS
-with 3-colouring over illegitimate states: a back edge to a grey state means
-an illegitimate cycle (convergence fails); otherwise each state's value is
-``1 + max(successor values)`` with legitimate successors contributing 0.
+Every check reads one memoised
+:class:`~repro.verification.state_graph.StateGraph` per transition system
+(on the packed-kernel path, the Z_K quotient under the x-shift) and its one
+valuation: an explicit-stack depth-first search over illegitimate ids that
+either meets an id already on its stack (an illegitimate cycle) or values
+each id ``1 + max(successor values)``, legitimate successors contributing
+0.  The report, :func:`worst_case_convergence_steps` and
+:func:`worst_case_witness` all read that valuation; what they report is what
+the full enumeration gives — full-space counts, deadlocks and closure
+violations expanded to whole orbits, a cycle lifted into a real cycle of
+configurations.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.verification.transition_system import TransitionSystem
 
@@ -93,69 +99,35 @@ class StabilizationReport:
         return "\n".join(lines)
 
 
-def _longest_path_to_lambda(
-    ts: TransitionSystem,
-) -> Tuple[Optional[int], Optional[List[Any]]]:
-    """Longest illegitimate path; detects illegitimate cycles.
+def _report_cycle(ts: TransitionSystem, cycle: List[int]) -> List[Any]:
+    """An illegitimate cycle of ids lifted into a cycle of configurations.
 
-    Returns ``(worst_case_steps, None)`` when convergence holds, or
-    ``(None, cycle)`` when an illegitimate cycle exists.
-
-    Everything is key-centric: the DFS stack, colour map, value table and
-    path all hold packed keys only
-    (:meth:`~repro.verification.transition_system.TransitionSystem.successor_keys`),
-    so the bulk of the state space is explored without ever materializing a
-    configuration object.  Configurations are decoded only to report a
-    cycle.
+    Follows, from the first id's own configuration, the first concrete
+    successor in the next id's orbit, around the cycle of ids until the
+    start configuration recurs (at most K rounds on the quotient, one
+    without it).
     """
-    legit = ts.is_legitimate_key
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {}
-    value = {}
-    best = 0
+    graph = ts.graph()
+    start = key = graph.key_of(cycle[0])
+    path = [key]
+    while True:
+        for nxt in cycle[1:]:
+            key = next(s for s in ts.successor_keys_for(key)
+                       if graph.id_of(s) == nxt)
+            path.append(key)
+        if key == start:
+            return [ts.config_for_key(k) for k in path]
 
-    for start in ts.states():
-        k0 = ts._key(start)
-        if colour.get(k0, WHITE) != WHITE or legit(k0):
-            continue
-        # Iterative DFS from this illegitimate configuration.  Stack frames
-        # carry (key, successor keys, next index); path carries the keys
-        # for cycle extraction.
-        stack: List[Tuple[Any, Tuple[Any, ...], int]] = [
-            (k0, ts.successor_keys(start, k0), 0)
-        ]
-        colour[k0] = GREY
-        path: List[Any] = [k0]
-        while stack:
-            nk, succs, idx = stack[-1]
-            if idx < len(succs):
-                stack[-1] = (nk, succs, idx + 1)
-                ck = succs[idx]
-                if legit(ck):
-                    value[nk] = max(value.get(nk, 1), 1)
-                    continue
-                c = colour.get(ck, WHITE)
-                if c == GREY:
-                    # Illegitimate cycle found; decode it from the path.
-                    cyc = path[path.index(ck):] + [ck]
-                    return None, [ts.config_for_key(k) for k in cyc]
-                if c == WHITE:
-                    colour[ck] = GREY
-                    path.append(ck)
-                    stack.append((ck, ts.successor_keys_for(ck), 0))
-                else:  # BLACK
-                    value[nk] = max(value.get(nk, 1), 1 + value[ck])
-            else:
-                colour[nk] = BLACK
-                v = value.get(nk, 1)
-                value[nk] = v
-                best = max(best, v)
-                stack.pop()
-                path.pop()
-                if stack:
-                    pk = stack[-1][0]
-                    value[pk] = max(value.get(pk, 1), 1 + v)
-    return best, None
+
+def _values(ts: TransitionSystem) -> Any:
+    """The graph's valuation; raises AssertionError on an illegitimate cycle."""
+    value, cycle = ts.graph().valuation()
+    if cycle is not None:
+        raise AssertionError(
+            "algorithm does not converge: illegitimate cycle of length "
+            f"{len(_report_cycle(ts, cycle))}"
+        )
+    return value
 
 
 def check_self_stabilization(
@@ -163,43 +135,48 @@ def check_self_stabilization(
 ) -> StabilizationReport:
     """Run the full exhaustive check on a transition system.
 
-    Enumerates every configuration once for deadlock/closure and (optionally)
-    runs the longest-path analysis for convergence + worst case.  All
-    legitimacy queries go through the transition system's memoized
-    :meth:`~repro.verification.transition_system.TransitionSystem.is_legitimate`
-    so each configuration is classified once across both phases.
+    Reads the memoised :meth:`~repro.verification.transition_system.TransitionSystem.graph`
+    once for deadlocks and closure and (optionally) its valuation for
+    convergence + worst case.  Deadlocks and closure violations are
+    reported for every configuration (whole orbits on the quotient), in
+    enumeration order.
     """
-    deadlocks: List[Any] = []
-    closure_violations: List[Tuple[Any, Any]] = []
-    state_count = 0
-    legit_count = 0
+    graph = ts.graph()
+    legit, offsets, targets = graph.legit, graph.offsets, graph.targets
+    ids = range(graph.enumerated)
+    dead = [v for v in ids if offsets[v] == offsets[v + 1]]
+    leaking = [
+        v for v in ids
+        if legit[v] and not all(
+            legit[t] for t in targets[offsets[v]:offsets[v + 1]])
+    ]
 
-    for config in ts.states():
-        state_count += 1
-        key = ts._key(config)
-        skeys = ts.successor_keys(config, key)
-        legit = ts.is_legitimate_key(key)
-        if legit:
-            legit_count += 1
-        if not skeys:
-            if not ts.is_deadlocked(config):
-                raise AssertionError(
-                    "successor computation inconsistent with enabledness")
-            deadlocks.append(config)
-            continue
-        if legit:
-            for sk in skeys:
-                if not ts.is_legitimate_key(sk):
-                    closure_violations.append((config, ts.config_for_key(sk)))
+    deadlocks: List[Any] = []
+    for key in graph.expand(dead):
+        config = ts.config_for_key(key)
+        if not ts.is_deadlocked(config):
+            raise AssertionError(
+                "successor computation inconsistent with enabledness")
+        deadlocks.append(config)
+    closure_violations: List[Tuple[Any, Any]] = [
+        (ts.config_for_key(key), ts.config_for_key(sk))
+        for key in graph.expand(leaking)
+        for sk in ts.successor_keys_for(key)
+        if not legit[graph.id_of(sk)]
+    ]
 
     worst: Optional[int] = None
     cycle: Optional[List[Any]] = None
     if compute_worst_case:
-        worst, cycle = _longest_path_to_lambda(ts)
+        value, cycle_ids = graph.valuation()
+        if cycle_ids is None:
+            worst = max(value, default=0)
+        else:
+            cycle = _report_cycle(ts, cycle_ids)
 
     return StabilizationReport(
-        state_count=state_count,
-        legitimate_count=legit_count,
+        state_count=graph.state_count,
+        legitimate_count=graph.legitimate_count,
         deadlocks=deadlocks,
         closure_violations=closure_violations,
         illegitimate_cycle=cycle,
@@ -210,13 +187,7 @@ def check_self_stabilization(
 
 def worst_case_convergence_steps(ts: TransitionSystem) -> int:
     """Exact adversarial convergence time; raises if convergence fails."""
-    worst, cycle = _longest_path_to_lambda(ts)
-    if cycle is not None:
-        raise AssertionError(
-            f"algorithm does not converge: illegitimate cycle of length {len(cycle)}"
-        )
-    assert worst is not None
-    return worst
+    return max(_values(ts), default=0)
 
 
 def worst_case_witness(ts: TransitionSystem) -> List[Any]:
@@ -228,52 +199,20 @@ def worst_case_witness(ts: TransitionSystem) -> List[Any]:
     configuration.  This is the *ground truth* the heuristic
     :class:`~repro.daemons.adversarial.AdversarialDaemon` approximates.
 
-    Computed by valuing every illegitimate configuration (memoized greedy
-    over the acyclic illegitimate region — well-defined once convergence
-    holds) and then walking value-maximizing successors.
+    ``gamma_0`` is the first configuration of maximal value in enumeration
+    order, and each step takes the first value-maximising successor in
+    :meth:`~repro.verification.transition_system.TransitionSystem.successor_keys_for`
+    order; values come from the graph's valuation (raises AssertionError on
+    an illegitimate cycle).
     """
-    legit = ts.is_legitimate_key
-
-    # Value function: steps-to-Lambda under the adversarial daemon,
-    # computed entirely on packed keys.
-    value: Dict[Any, int] = {}
-
-    def val(k: Any) -> int:
-        if legit(k):
-            return 0
-        if k in value:
-            return value[k]
-        # Sentinel to catch cycles (would mean non-convergence).
-        value[k] = -1
-        best = 0
-        for sk in ts.successor_keys_for(k):
-            v = val(sk)
-            if v < 0:
-                raise AssertionError("illegitimate cycle: no worst case exists")
-            best = max(best, 1 + v)
-        value[k] = best
-        return best
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10 * ts.state_count() + 1000))
-    try:
-        worst_key = None
-        worst_val = -1
-        for config in ts.states():
-            k = ts._key(config)
-            # Prime the successor-key cache from the configuration we
-            # already hold (spares the naive path a key decode).
-            ts.successor_keys(config, k)
-            v = val(k)
-            if v > worst_val:
-                worst_val, worst_key = v, k
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    assert worst_key is not None
-    key = worst_key
-    path = [ts.config_for_key(key)]
-    while not legit(key):
-        key = max(ts.successor_keys_for(key), key=val)
-        path.append(ts.config_for_key(key))
-    return path
+    graph = ts.graph()
+    value = _values(ts)
+    id_of = graph.id_of
+    key = graph.key_of(
+        max(range(graph.enumerated), key=value.__getitem__))
+    path = [key]
+    while not graph.legit[id_of(key)]:
+        key = max(ts.successor_keys_for(key),
+                  key=lambda s: value[id_of(s)])
+        path.append(key)
+    return [ts.config_for_key(k) for k in path]

@@ -13,19 +13,32 @@ them, supporting both daemon semantics:
 Configurations are identified by their hashable normal forms.  With a
 :mod:`~repro.simulation.fastpath` kernel available, keys are *packed ints*
 (collision-free base-``|Q|`` encodings — cheaper to hash and compare than
-tuples-of-tuples), successor generation computes each enabled command
+tuples-of-tuples), and successor generation computes each enabled command
 **once** per configuration and reuses it across all daemon selections
-(the naive path re-evaluates guards for every subset), and legitimacy
-tests are memoized per key for the model checker's repeated queries.
+(the naive path re-evaluates guards for every subset).
+
+The per-configuration methods (:meth:`~TransitionSystem.successors`,
+:meth:`~TransitionSystem.successor_keys_for`,
+:meth:`~TransitionSystem.is_legitimate`, ...) memoise per key; the model
+checker instead reads :meth:`~TransitionSystem.graph`, the whole space as
+one array-backed :class:`~repro.verification.state_graph.StateGraph`, built
+on first use — the Z_K quotient under the x-shift on the packed-kernel
+path, so SSRmin n=5, K=6 (7.96M configurations) is 1.33M representatives.
 """
 
 from __future__ import annotations
 
 import itertools
+from itertools import repeat
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.algorithms.base import RingAlgorithm
 from repro.simulation.fastpath import resolve_kernel
+from repro.verification.state_graph import (
+    EnumeratedGraph,
+    QuotientGraph,
+    StateGraph,
+)
 
 
 def nonempty_subsets(
@@ -73,11 +86,17 @@ class TransitionSystem:
         self._succ_keys: Dict[Any, Tuple[Any, ...]] = {}
         self._succ_cfgs: Dict[Any, Tuple[Any, ...]] = {}
         self._legit_cache: Dict[Any, bool] = {}
+        self._graph: Optional[StateGraph] = None
 
     # -- state enumeration ----------------------------------------------------
     def states(self) -> Iterator[Any]:
         """Every configuration in the space (|Q|^n values)."""
         return self.algorithm.configuration_space()
+
+    def _default_space(self) -> bool:
+        """Whether :meth:`states` is the full product space ``Q^n``."""
+        return (type(self.algorithm).configuration_space
+                is RingAlgorithm.configuration_space)
 
     def state_count(self) -> int:
         """|Q|^n for the default configuration space.
@@ -88,13 +107,28 @@ class TransitionSystem:
         try:
             q = self.algorithm.state_count_per_process()
             # Trust the product form only for the default space.
-            if type(self.algorithm).configuration_space is RingAlgorithm.configuration_space:
+            if self._default_space():
                 return q ** self.algorithm.n
         except (TypeError, NotImplementedError):
             # state_count_per_process needs a materializable local state
             # space; fall through to counting by iteration.
             pass
         return sum(1 for _ in self.states())
+
+    def graph(self) -> StateGraph:
+        """The explicit state graph of :meth:`states`, built on first use.
+
+        The Z_K quotient (:class:`~repro.verification.state_graph.QuotientGraph`)
+        when a packed kernel runs the default space, else the enumerated
+        graph.  Construction stays O(1); the model checker's first call
+        pays for the graph and every later check reads it.
+        """
+        if self._graph is None:
+            if self._kernel is not None and self._default_space():
+                self._graph = QuotientGraph(self, self._kernel)
+            else:
+                self._graph = EnumeratedGraph(self)
+        return self._graph
 
     # -- successors -------------------------------------------------------------
     def successors(self, config: Any) -> Tuple[Any, ...]:
@@ -111,10 +145,10 @@ class TransitionSystem:
     ) -> Tuple[Tuple[Any, Any], ...]:
         """Distinct successors as ``(key, configuration)`` pairs.
 
-        The model checker is key-centric (colour maps, value tables, memo
-        probes all index by key), so handing keys out with the successors
-        lets it avoid ever re-packing a configuration it already visited.
-        ``key`` may be passed when the caller has already computed it.
+        Handing keys out with the successors spares callers that index by
+        key (:meth:`reachable_from`, the naive state graph) re-packing a
+        configuration they already hold.  ``key`` may be passed when the
+        caller has already computed it.
         """
         if key is None:
             key = self._key(config)
@@ -134,11 +168,11 @@ class TransitionSystem:
     ) -> Tuple[Any, ...]:
         """Distinct successor *keys* only — no configurations materialized.
 
-        The model checker's bulk phases (closure sweep, cycle detection,
-        longest path) never look inside a successor, only at its identity
-        and legitimacy, so on the fast path this skips building the
-        tuples-of-tuples configuration objects entirely.  Configurations
-        are recovered on demand via :meth:`config_for_key`.
+        Graph building, orbit expansion and witness walks never look
+        inside a successor, only at its identity and legitimacy, so on the
+        fast path this skips building the tuples-of-tuples configuration
+        objects entirely.  Configurations are recovered on demand via
+        :meth:`config_for_key`.
         """
         if key is None:
             key = self._key(config)
@@ -147,6 +181,7 @@ class TransitionSystem:
             return cached
         if self._kernel is not None:
             self._kernel.load(config)
+            self._seed_legitimacy(key)
             out = self._succ_keys_from_loaded(key)
         else:
             out = tuple(k for k, _ in self.successor_items(config, key))
@@ -165,6 +200,7 @@ class TransitionSystem:
             return cached
         if self._kernel is not None:
             self._kernel.load_key(key)
+            self._seed_legitimacy(key)
             out = self._succ_keys_from_loaded(key)
         else:
             out = tuple(
@@ -173,36 +209,36 @@ class TransitionSystem:
         self._succ_keys[key] = out
         return out
 
+    def _seed_legitimacy(self, key: Any) -> None:
+        """Memoise the loaded configuration's legitimacy (counter-gated,
+        near O(1)) under ``key``."""
+        if key not in self._legit_cache:
+            self._legit_cache[key] = self._kernel.is_legitimate()
+
     def _succ_keys_from_loaded(self, key: Any) -> Tuple[Any, ...]:
         """Successor keys of the kernel's loaded configuration.
 
         Each enabled command is evaluated once; every selection's key then
-        falls out of digit-delta integer arithmetic on ``key``.  The load
-        also seeds the legitimacy memo for free (counter-gated, near O(1)).
+        falls out of digit-delta integer arithmetic on ``key``
+        (``sum(subset, key)``): subsets of the per-process deltas come in
+        the same order as subsets of the enabled set, and a repeated key
+        (an enabled command that leaves its state unchanged) is kept once,
+        first occurrence first.  Nothing is memoised, so the state graph's
+        builder can call it once per representative.
         """
         kernel = self._kernel
-        if key not in self._legit_cache:
-            self._legit_cache[key] = kernel.is_legitimate()
         enabled = kernel.enabled()
         if not enabled:
             return ()
         digit = kernel.digit
         weights = kernel.key_weights
-        delta = {
-            i: (digit(kernel.update(i)) - digit(kernel.native_state(i)))
+        deltas = tuple(
+            (digit(kernel.update(i)) - digit(kernel.native_state(i)))
             * weights[i]
             for i in enabled
-        }
-        out: List[Any] = []
-        seen = set()
-        for sel in nonempty_subsets(enabled, self.max_selection):
-            k = key
-            for i in sel:
-                k += delta[i]
-            if k not in seen:
-                seen.add(k)
-                out.append(k)
-        return tuple(out)
+        )
+        return tuple(dict.fromkeys(map(
+            sum, nonempty_subsets(deltas, self.max_selection), repeat(key))))
 
     def config_for_key(self, key: Any) -> Any:
         """The algorithm-native configuration a key encodes.
@@ -245,8 +281,7 @@ class TransitionSystem:
         """
         kernel = self._kernel
         kernel.load(config)
-        if key not in self._legit_cache:
-            self._legit_cache[key] = kernel.is_legitimate()
+        self._seed_legitimacy(key)
         enabled = kernel.enabled()
         if not enabled:
             return ()

@@ -1,5 +1,6 @@
 """CLI: `repro run` telemetry artifacts and the `repro stats` replay."""
 
+import json
 import os
 
 from repro.cli import main
@@ -45,6 +46,31 @@ class TestRunTelemetry:
         out = capsys.readouterr().out
         assert "telemetry:" not in out
         assert not os.path.exists(os.path.join(outdir, "lem1"))
+
+
+    def test_batched_kernel_run_leaves_a_record(self, tmp_path, capsys):
+        """ext4 runs on the batched kernel; its trace, manifest and store
+        row still say what ran and how many steps it took."""
+        outdir = str(tmp_path / "runs")
+        assert main(["run", "ext4", "--fast",
+                     "--telemetry-dir", outdir]) == 0
+        capsys.readouterr()
+        assert main(["stats", os.path.join(outdir, "ext4",
+                                           "trace.jsonl")]) == 0
+        out = capsys.readouterr().out
+        assert "events: 0" not in out
+        assert "engine/run_start=3" in out
+        assert "engine=batched" in out
+        with open(os.path.join(outdir, "ext4", "manifest.json")) as fh:
+            metrics = json.load(fh)["metrics"]
+        steps = metrics["counters"]["steps_total"]["series"]
+        histogram = metrics["histograms"]["convergence_steps"]["series"]
+        assert histogram[0]["labels"] == {"engine": "batched"}
+        assert histogram[0]["value"]["count"] == 3 * 200
+        assert steps[0]["value"] == histogram[0]["value"]["sum"] > 0
+        assert main(["runs", "show", "ext4", "--store",
+                     os.path.join(outdir, "store.sqlite")]) == 0
+        assert "steps_total = " in capsys.readouterr().out
 
 
 class TestStatsCommand:

@@ -51,21 +51,22 @@ class TestWorstCaseWitness:
         n = 3
         assert len(path) - 1 <= 60 * n * n + 600
 
-    def test_witness_on_tiny_dijkstra_ring_regression(self):
-        """Regression for the missing ``Dict`` import in model_checker.
+    def test_witness_on_tiny_dijkstra_ring_regression(self, monkeypatch):
+        """The witness needs no recursion-limit changes, and works end to
+        end on the smallest ring.
 
-        ``worst_case_witness`` annotates its memo table with ``Dict`` at
-        function scope; with the name absent from the module namespace the
-        call was one evaluated-annotations switch away from a NameError.
-        The import now lives at module top — this pins the function working
-        end to end on the smallest ring.
+        The valuation runs on an explicit stack, so a witness over 160,000
+        configurations (SSRmin n=4) completes with
+        ``sys.setrecursionlimit`` patched to raise.
         """
-        import typing
+        import sys
 
-        import repro.verification.model_checker as mc
+        def _refuse(limit):
+            raise AssertionError(f"setrecursionlimit({limit}) called")
 
-        assert getattr(mc, "Dict") is typing.Dict
-        assert getattr(mc, "sys") is not None  # import sys at module top
+        monkeypatch.setattr(sys, "setrecursionlimit", _refuse)
+        assert len(worst_case_witness(
+            TransitionSystem(SSRmin(4, 5), "distributed"))) == 44
         alg = DijkstraKState(2, 3)
         path = worst_case_witness(TransitionSystem(alg, "distributed"))
         assert len(path) >= 1
