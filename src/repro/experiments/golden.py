@@ -1,6 +1,6 @@
 """Golden traces: frozen seeded runs that pin figure determinism.
 
-Two executions are canonical enough to freeze byte-for-byte:
+Three runs are canonical enough to freeze byte-for-byte:
 
 * **fig04** — the unique legitimate 16-step execution of SSRmin(5, 6)
   from gamma_0(3) (the paper's Figure 4).  Fully deterministic by
@@ -9,9 +9,12 @@ Two executions are canonical enough to freeze byte-for-byte:
   experiment: SSRmin(5, 6) under the CST transform with seed 13 and
   uniform message delays in [0.5, 1.5].  Deterministic because the DES
   draws every delay from one seeded RNG stream.
+* **des cells** — every cell of two chaos-start Theorem-4 ``des`` sweep
+  grids (SSRmin and Dijkstra): stabilization time, token band, zero-token
+  time and event count per cell.
 
 :func:`regenerate` rewrites the JSONL corpus under ``tests/corpus/``;
-the regression test re-derives both traces from source and compares
+the regression test re-derives every trace from source and compares
 record-for-record, so any drift in the simulator, the rule table, the
 privilege predicates or the RNG discipline fails loudly with the first
 diverging record.  Records hold plain JSON scalars only — Python's
@@ -28,9 +31,11 @@ from typing import Callable, Dict, List
 #: Corpus file names, relative to the corpus directory.
 FIG04_FILE = "golden_fig04_trace.jsonl"
 FIG13_FILE = "golden_fig13_timeline.jsonl"
+DES_CELLS_FILE = "golden_des_cells.jsonl"
 
 FIG04_SCHEMA = "repro-golden-fig04/1"
 FIG13_SCHEMA = "repro-golden-fig13/1"
+DES_CELLS_SCHEMA = "repro-golden-des-cells/1"
 
 #: Simulated duration of the frozen fig13 run (the bench's fast mode).
 FIG13_DURATION = 150.0
@@ -98,10 +103,36 @@ def fig13_timeline_records(duration: float = FIG13_DURATION) -> List[dict]:
     return records
 
 
+def des_cells_records() -> List[dict]:
+    """Every cell of two chaos-start ``des`` grids, SSRmin and Dijkstra.
+
+    The chaos start (random states, random caches, random dwell) is the
+    path Theorem 4's sweeps take and the fig13 golden does not; the grid
+    crosses ring size, loss, duplication and delay scale, so every arm of
+    the packed engine runs.  Dijkstra's cells record Figure 11's token
+    extinction (``min_tokens`` 0).
+    """
+    from repro.sweeps import SweepSpec, run_cells
+
+    records: List[dict] = [{"schema": DES_CELLS_SCHEMA}]
+    for algorithm in ("ssrmin", "dijkstra"):
+        spec = SweepSpec(
+            name=f"golden-{algorithm}", kind="des", algorithm=algorithm,
+            n_values=(5, 8), loss_rates=(0.0, 0.3),
+            duplication_rates=(0.0, 0.2), delay_scales=(1.0, 2.0),
+            seeds=(0, 1), gap_duration=50.0,
+        )
+        for cell, result in zip(spec.cells(), run_cells(spec)):
+            records.append({"algorithm": algorithm, "cell": cell.key,
+                            **result})
+    return records
+
+
 #: ``file name -> generator`` for every golden trace.
 GOLDEN_TRACES: Dict[str, Callable[[], List[dict]]] = {
     FIG04_FILE: fig04_trace_records,
     FIG13_FILE: fig13_timeline_records,
+    DES_CELLS_FILE: des_cells_records,
 }
 
 

@@ -12,15 +12,16 @@ PR 2 fastpath design for the message-passing model:
   counter for Dijkstra's ring), translated by per-algorithm
   :class:`~repro.messagepassing.fastpath.codecs.MPCodec` objects that
   reuse the shared 128-entry ``RULE_TABLE`` for guard resolution;
-* **fixed-slot links** — the capacity-one links live in flat parallel
-  arrays (busy flags, coalesced pending slots, statistics counters)
-  instead of one object per direction;
-* **flat event wheel** — scheduling uses plain packed tuples on a binary
-  heap (:mod:`repro.messagepassing.fastpath.wheel`) instead of frozen
-  dataclass events holding closures;
-* **incremental observation** — own-view token holders, cache staleness
-  and the legitimate+coherent entry condition are maintained
-  incrementally (O(1) per event) instead of recomputed network-wide.
+* **fixed-slot links** — the capacity-one links' busy flags and coalesced
+  pending payloads live in flat parallel arrays instead of one object per
+  direction;
+* **one fused event loop** — plain packed tuples on a binary heap instead
+  of frozen dataclass events holding closures, dispatched by one loop
+  whose arms inline the per-event handlers over memoised rule ids;
+* **incremental, change-only observation** — own-view token holders,
+  cache staleness and the legitimate+coherent entry condition are
+  maintained incrementally (O(1) per event) and observed only when one
+  of them may have changed or someone listens.
 
 The engine (:class:`~repro.messagepassing.fastpath.network.FastCSTNetwork`)
 is *draw-identical* to the reference: it consumes the network's single

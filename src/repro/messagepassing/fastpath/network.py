@@ -7,13 +7,19 @@ and :class:`~repro.messagepassing.links.Link` instances, the shared
 facade, while the run loop executes on flat packed arrays:
 
 * node states / neighbour caches: small ints via the algorithm's
-  :class:`~repro.messagepassing.fastpath.codecs.MPCodec`;
-* links: parallel arrays of busy flags, coalesced pending slots,
-  precompiled delay samplers and statistics counters;
-* events: packed tuples on a flat :class:`~.wheel.EventWheel`;
+  :class:`~repro.messagepassing.fastpath.codecs.MPCodec`, with each node's
+  rule id memoised until its state or caches change;
+* links: busy flags and coalesced packed payloads; delay law, loss,
+  duplication, outages and statistics live on the facade links;
+* events: packed tuples ``(time, seq, code, a, b, c)`` on a binary heap,
+  dispatched by one loop whose arms inline the broadcast, the cache write,
+  the dwell check and the observation;
 * observation: own-view token holders, cache staleness and the
   legitimate+coherent entry condition, kept by the shared incremental
-  :class:`~repro.kernels.census.Census` over the packed arrays.
+  :class:`~repro.kernels.census.Census` over the packed arrays.  Most
+  deliveries repeat a cached value, so the loop observes only where a
+  census fact may have changed, or where someone listens (see
+  :meth:`FastCSTNetwork._watching`).
 
 **Fidelity contract.**  The engine consumes the network's single seeded
 ``random.Random`` in exactly the reference order (per transmission: loss
@@ -28,57 +34,41 @@ and the golden-trace replay enforce this record-for-record.
 **Facade synchronization.**  Node ``state`` and ``cache`` entries are
 mirrored *eagerly* (one interned write per change), so observers and
 coherence checks that read the object graph mid-run see exact values.
-Link flags/statistics, node counters and ``queue.executed`` are synced at
-every run-slice boundary; external mutations of the facade between slices
-(fault injection helpers, tests poking ``delay_model`` or outages) are
-folded back into the packed arrays by a re-pack at the next ``run()``.
-
-External events scheduled on the facade ``EventQueue`` are drained into
-the wheel as ``PYCALL`` entries, preserving their ``(time, seq)`` slots.
+Busy flags, pending payloads and ``queue.executed`` are synced at every
+run-slice boundary.  Direct writes to facade states or caches are folded
+back at the next ``run()`` and after every externally scheduled event
+(drained onto the heap as ``PYCALL`` entries in their ``(time, seq)``
+slots); the fold compares each entry by identity with the object the
+engine last wrote, so an untouched boundary costs O(n).
 """
 
 from __future__ import annotations
 
 import random
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.algorithms.base import RingAlgorithm
 from repro.kernels.census import Census
 from repro.messagepassing.des import EventQueue
 from repro.messagepassing.fastpath.codecs import MPCodec
-from repro.messagepassing.fastpath.wheel import ACT, ARRIVE, PYCALL, TIMER, EventWheel
-from repro.messagepassing.links import (
-    DelayModel,
-    ExponentialDelay,
-    FixedDelay,
-    Link,
-    Message,
-    UniformDelay,
-)
+from repro.messagepassing.links import Link, Message, UniformDelay
 from repro.messagepassing.network import MessagePassingNetwork
 from repro.messagepassing.node import CSTNode
 
-#: Sampler kinds produced by :func:`_compile_sampler`.
-_FIXED, _UNIFORM, _EXPO, _GENERIC = 0, 1, 2, 3
+#: Dispatch codes of packed heap entries ``(time, seq, code, a, b, c)``.
+#: Tuples compare on ``(time, seq)`` first and ``seq`` is unique, so the
+#: heap order is the reference queue's order.
+ARRIVE = 0   #: (time, seq, ARRIVE, link_id, packed_payload, flags)
+ACT = 1      #: (time, seq, ACT, node_index, 0, 0)
+TIMER = 2    #: (time, seq, TIMER, node_index, 0, 0)
+PYCALL = 3   #: (time, seq, PYCALL, callable, 0, 0) — drained external events
 
+#: Delivery repetitions of an arrival (bit 1 of its flags: duplicated).
+_ONCE, _TWICE = (0,), (0, 1)
 
-def _compile_sampler(model: Optional[DelayModel]) -> Tuple[int, float, float, Any]:
-    """Flatten a delay model into ``(kind, a, b, fallback)``.
-
-    Exact-type checks only: a subclass overriding ``sample`` must keep its
-    own draw discipline, so it goes through the generic arm.
-    """
-    if model is None:
-        return (_FIXED, 0.0, 0.0, None)
-    t = type(model)
-    if t is FixedDelay:
-        return (_FIXED, model.delay, 0.0, model)
-    if t is UniformDelay:
-        return (_UNIFORM, model.low, model.high, model)
-    if t is ExponentialDelay:
-        return (_EXPO, model.floor, 1.0 / model.mean, model)
-    return (_GENERIC, 0.0, 0.0, model)
+#: Placeholder for "no facade object seen yet" (forces the first fold).
+_UNSEEN = object()
 
 
 class FastCSTNetwork(MessagePassingNetwork):
@@ -110,7 +100,8 @@ class FastCSTNetwork(MessagePassingNetwork):
             token_predicate,
         )
         self.codec = codec
-        self._wheel = EventWheel()
+        #: Pending packed events, a binary heap.
+        self._heap: List[tuple] = []
         n = len(nodes)
         self._n = n
         self._bidir = codec.bidirectional
@@ -127,16 +118,21 @@ class FastCSTNetwork(MessagePassingNetwork):
         self._p = self._census.p     # packed own states
         self._cp = self._census.cp   # packed predecessor-cache values
         self._cs = self._census.cs   # packed successor-cache values (bidir)
+        #: Memoised ``codec.rule_id`` of every node's local view.
+        self._rid = [0] * n
+        #: Facade objects last written or folded: ``nodes[i].state`` and
+        #: the predecessor / successor cache entries.
+        self._seen_p: List[Any] = [_UNSEEN] * n
+        self._seen_cp: List[Any] = [_UNSEEN] * n
+        self._seen_cs: List[Any] = [_UNSEEN] * n
         self._pending_act = [False] * n
-        self._rules_executed = [0] * n
-        self._messages_received = [0] * n
-        self._timer_fires = [0] * n
         self._chatty = [bool(node.chatty) for node in nodes]
-        self._dwell = _compile_sampler(nodes[0].dwell_model)
         self._has_dwell = nodes[0].dwell_model is not None
 
         # -- link arrays (same construction order as the facade dicts) -----
-        self._lid: Dict[Tuple[int, int], int] = {}
+        # Delay law, loss, duplication and outage are read from the facade
+        # links, and statistics counted on them, as the reference does; the
+        # engine owns the busy flags and the packed pending payloads.
         self._links: List[Link] = []
         self._l_src: List[int] = []
         self._l_dst: List[int] = []
@@ -145,7 +141,6 @@ class FastCSTNetwork(MessagePassingNetwork):
         for node in nodes:
             for dst, link in node.links.items():
                 lid = len(self._links)
-                self._lid[(node.index, dst)] = lid
                 self._links.append(link)
                 self._l_src.append(node.index)
                 self._l_dst.append(dst)
@@ -153,19 +148,9 @@ class FastCSTNetwork(MessagePassingNetwork):
                 self._out_lids[node.index].append(lid)
         m = len(self._links)
         self._l_busy = [False] * m
-        self._l_pending = [0] * m
-        self._l_has_pending = [False] * m
-        self._l_sent = [0] * m
-        self._l_delivered = [0] * m
-        self._l_lost = [0] * m
-        self._l_coalesced = [0] * m
-        self._l_duplicated = [0] * m
-        self._l_loss = [0.0] * m
-        self._l_dup = [0.0] * m
-        self._l_outage = [0.0] * m
-        self._l_sampler: List[Tuple[int, float, float, Any]] = [
-            (_FIXED, 0.0, 0.0, None)
-        ] * m
+        #: Coalesced packed payload waiting on a busy link, or None.
+        self._l_pending: List[Optional[int]] = [None] * m
+        self._transmit = self._make_transmit()
 
         self._sync_in()
 
@@ -183,52 +168,62 @@ class FastCSTNetwork(MessagePassingNetwork):
     def _sync_in(self) -> None:
         """Fold the facade object graph back into the packed arrays.
 
-        Runs at ``start()`` and at every ``run()`` entry, so facade-level
-        mutations between slices (tests, fault scripts) are honoured
-        exactly as the reference engine would honour them.
+        Runs at construction, at every ``run()`` entry and after every
+        externally scheduled event, so facade-level mutations (tests, fault
+        scripts) are honoured exactly as the reference engine would honour
+        them.  A state or cache entry is re-packed only when it is not the
+        object the engine last wrote; after any re-pack the census is
+        recounted and every rule id recomputed.
         """
         n, nodes = self._n, self.nodes
         p, cp, cs = self._p, self._cp, self._cs
+        seen_p, seen_cp, seen_cs = self._seen_p, self._seen_cp, self._seen_cs
+        pred, succ = self._census.pred, self._census.succ
+        bidir = self._bidir
         pack = self._pack_state
+        dirty = False
         for i in range(n):
             node = nodes[i]
-            p[i] = pack(node.state, f"state of node {i}")
-            pred, succ = (i - 1) % n, (i + 1) % n
-            if pred in node.cache:
-                cp[i] = pack(node.cache[pred], f"cache[{pred}] of node {i}")
-            if self._bidir and succ in node.cache:
-                cs[i] = pack(node.cache[succ], f"cache[{succ}] of node {i}")
-        for lid, link in enumerate(self._links):
-            self._l_loss[lid] = link.loss_probability
-            self._l_dup[lid] = getattr(link, "duplicate_probability", 0.0)
-            self._l_outage[lid] = link.outage_until
-            sampler = self._l_sampler[lid]
-            if sampler[3] is not link.delay_model:
-                self._l_sampler[lid] = _compile_sampler(link.delay_model)
-        self._census.recount()
+            state = node.state
+            if state is not seen_p[i]:
+                p[i] = pack(state, f"state of node {i}")
+                seen_p[i] = state
+                dirty = True
+            cache = node.cache
+            k = pred[i]
+            value = cache.get(k, seen_cp[i])
+            if value is not seen_cp[i]:
+                cp[i] = pack(value, f"cache[{k}] of node {i}")
+                seen_cp[i] = value
+                dirty = True
+            if bidir:
+                k = succ[i]
+                value = cache.get(k, seen_cs[i])
+                if value is not seen_cs[i]:
+                    cs[i] = pack(value, f"cache[{k}] of node {i}")
+                    seen_cs[i] = value
+                    dirty = True
+        if dirty:
+            self._census.recount()
+            rule_id, rid = self.codec.rule_id, self._rid
+            for i in range(n):
+                rid[i] = rule_id(p[i], cp[i], cs[i], i)
 
     def _sync_out(self) -> None:
-        """Mirror engine-side flags/counters back onto the facade objects."""
+        """Mirror engine-side flags back onto the facade objects."""
         unpack = self.codec.unpack
+        # Every delivered copy is one message received by the link's
+        # destination, so the per-node count is a sum over in-links.
+        received = [0] * self._n
         for lid, link in enumerate(self._links):
+            received[self._l_dst[lid]] += link.delivered
             link.busy = self._l_busy[lid]
-            if self._l_has_pending[lid]:
-                link.pending = Message(
-                    self._l_src[lid], unpack(self._l_pending[lid])
-                )
-                link._has_pending = True
-            else:
-                link.pending = None
-                link._has_pending = False
-            link.sent = self._l_sent[lid]
-            link.delivered = self._l_delivered[lid]
-            link.lost = self._l_lost[lid]
-            link.coalesced = self._l_coalesced[lid]
-            link.duplicated = self._l_duplicated[lid]
+            pending = self._l_pending[lid]
+            link._has_pending = pending is not None
+            link.pending = (None if pending is None
+                            else Message(self._l_src[lid], unpack(pending)))
         for i, node in enumerate(self.nodes):
-            node.rules_executed = self._rules_executed[i]
-            node.messages_received = self._messages_received[i]
-            node.timer_fires = self._timer_fires[i]
+            node.messages_received = received[i]
             node._action_pending = self._pending_act[i]
 
     # -- observation -------------------------------------------------------
@@ -262,6 +257,18 @@ class FastCSTNetwork(MessagePassingNetwork):
                 and census.legitimate()):
             self._stab_time = self.queue.now
 
+    def _watching(self) -> bool:
+        """Whether every observation point must observe, changed or not:
+        while a bus subscriber or an observer is attached, or the latch is
+        unset although the entry condition holds.  Otherwise observing
+        after no change of holders, staleness or states does nothing."""
+        census = self._census
+        return bool(
+            self.bus._subscribers or self.observers
+            or (self._stab_time is None and census.stale == 0
+                and census.legitimate())
+        )
+
     def stabilized_time(self) -> Optional[float]:
         """First observation-point time at which the network was legitimate
         with coherent caches, or ``None`` (the Theorem 4 entry condition,
@@ -289,129 +296,65 @@ class FastCSTNetwork(MessagePassingNetwork):
         census = self._census
         return census.stale == 0 and census.legitimate()
 
-    # -- engine primitives -------------------------------------------------
-    def _transmit(self, lid: int, packed: int) -> None:
-        self._l_busy[lid] = True
-        self._l_sent[lid] += 1
-        bus = self.bus
-        if bus._subscribers:
-            bus.publish("network", "send", self.queue.now,
-                        src=self._l_src[lid], dst=self._l_dst[lid],
-                        state=self.codec.unpack(packed))
-        rng = self.rng
-        lost = (
-            rng.random() < self._l_loss[lid]
-            or self.queue.now < self._l_outage[lid]
-        )
-        flags = 1 if lost else 0
-        dup = self._l_dup[lid]
-        if dup > 0.0 and rng.random() < dup:
-            flags |= 2
-            self._l_duplicated[lid] += 1
-        kind, a, b, model = self._l_sampler[lid]
-        if kind == _FIXED:
-            delay = a
-        elif kind == _UNIFORM:
-            # Inlined random.Random.uniform — bit-identical by definition.
-            delay = a + (b - a) * rng.random()
-        elif kind == _EXPO:
-            delay = a + rng.expovariate(b)
-        else:
-            delay = model.sample(rng)
-        heappush(
-            self._wheel.heap,
-            (self.queue.now + delay, next(self.queue._seq), ARRIVE,
-             lid, packed, flags),
-        )
+    # -- engine helpers ----------------------------------------------------
+    def _make_transmit(self) -> Callable[[int, int], None]:
+        """Build the transmit helper over the engine's arrays.
 
-    def _broadcast(self, i: int) -> None:
-        packed = self._p[i]
-        busy, has_pending = self._l_busy, self._l_has_pending
-        for lid in self._out_lids[i]:
-            if busy[lid]:
-                if has_pending[lid]:
-                    self._l_coalesced[lid] += 1
-                self._l_pending[lid] = packed
-                has_pending[lid] = True
+        It runs once per transmission, the engine's most frequent call, so
+        it reads the arrays from closure cells rather than instance
+        attributes.  The bound lists are only ever mutated in place.
+        """
+        links, l_busy = self._links, self._l_busy
+        l_src, l_dst = self._l_src, self._l_dst
+        heap, queue, seq = self._heap, self.queue, self.queue._seq
+        bus, unpack = self.bus, self.codec.unpack
+        subs = bus._subscribers
+        rng = self.rng
+        random_ = rng.random
+
+        def transmit(lid: int, packed: int) -> None:
+            """Put ``packed`` on idle link ``lid``: loss, duplication and
+            delay draws in the reference order, then one ``ARRIVE``."""
+            l_busy[lid] = True
+            link = links[lid]
+            link.sent += 1
+            now = queue.now
+            if subs:
+                bus.publish("network", "send", now, src=l_src[lid],
+                            dst=l_dst[lid], state=unpack(packed))
+            flags = 1 if (random_() < link.loss_probability
+                          or now < link.outage_until) else 0
+            dup = link.duplicate_probability
+            if dup > 0.0 and random_() < dup:
+                flags |= 2
+                link.duplicated += 1
+            model = link.delay_model
+            if type(model) is UniformDelay:
+                # Inlined UniformDelay.sample (random.Random.uniform), the
+                # sweeps' law; exact type, as a subclass may draw otherwise.
+                delay = model.low + (model.high - model.low) * random_()
             else:
-                self._transmit(lid, packed)
+                delay = model.sample(rng)
+            heappush(heap,
+                     (now + delay, next(seq), ARRIVE, lid, packed, flags))
+
+        return transmit
 
     def _consider(self, i: int) -> None:
-        if self._pending_act[i]:
-            return
-        if not self.codec.rule_id(self._p[i], self._cp[i], self._cs[i], i):
-            return
+        """Schedule node ``i``'s dwell action.  Callers check first that
+        its memoised rule is enabled and no action is pending."""
         self._pending_act[i] = True
-        kind, a, b, model = self._dwell
-        rng = self.rng
-        if kind == _FIXED:
-            dwell = a
-        elif kind == _UNIFORM:
-            dwell = a + (b - a) * rng.random()
-        elif kind == _EXPO:
-            dwell = a + rng.expovariate(b)
-        else:
-            dwell = model.sample(rng)
-        heappush(
-            self._wheel.heap,
-            (self.queue.now + dwell, next(self.queue._seq), ACT, i, 0, 0),
-        )
-
-    def _set_state(self, i: int, packed: int) -> None:
-        """Write a node's state and maintain every incremental structure,
-        then observe (the reference's ``on_state_change`` point)."""
-        self._census.set_state(i, packed)
-        self.nodes[i].state = self.codec.unpack(packed)
-        self.observe()
-
-    def _try_execute(self, i: int) -> bool:
-        codec = self.codec
-        own = self._p[i]
-        rid = codec.rule_id(own, self._cp[i], self._cs[i], i)
-        if not rid:
-            return False
-        new = codec.execute(rid, own, self._cp[i], self._cs[i], i)
-        self._rules_executed[i] += 1
-        if new != own:
-            self._set_state(i, new)
-        return True
-
-    def _deliver(self, lid: int, packed: int) -> None:
-        """One message delivery: the reference ``make_deliver`` +
-        ``CSTNode.on_receive`` path on packed state."""
-        dst = self._l_dst[lid]
-        src = self._l_src[lid]
-        self._messages_received[dst] += 1
-        if self._l_slot[lid] == 0:
-            self._census.set_pred_cache(dst, packed)
-        else:
-            self._census.set_succ_cache(dst, packed)
-        self.nodes[dst].cache[src] = self.codec.unpack(packed)
-        if not self._has_dwell:
-            changed = self._try_execute(dst)
-            if self._chatty[dst] or changed:
-                self._broadcast(dst)
-        else:
-            if self._chatty[dst]:
-                self._broadcast(dst)
-            self._consider(dst)
-        self.observe()
-
-    def _arm_timer_fast(self, i: int) -> None:
-        # interval + uniform(0, jitter); ``0.0 + (j - 0.0) * r == j * r``
-        # exactly for j >= 0, so the inlined form is draw-identical.
-        delay = self.timer_interval + self.timer_jitter * self.rng.random()
-        heappush(
-            self._wheel.heap,
-            (self.queue.now + delay, next(self.queue._seq), TIMER, i, 0, 0),
-        )
+        dwell = self.nodes[i].dwell_model.sample(self.rng)
+        queue = self.queue
+        heappush(self._heap,
+                 (queue.now + dwell, next(queue._seq), ACT, i, 0, 0))
 
     def _drain_facade_queue(self) -> None:
-        """Move externally scheduled facade events onto the wheel,
+        """Move externally scheduled facade events onto the heap,
         preserving their ``(time, seq)`` slots."""
         fq = self.queue._heap
         if fq:
-            heap = self._wheel.heap
+            heap = self._heap
             while fq:
                 ev = heappop(fq)
                 heappush(heap, (ev.time, ev.seq, PYCALL, ev.action, 0, 0))
@@ -434,9 +377,16 @@ class FastCSTNetwork(MessagePassingNetwork):
             timer_jitter=self.timer_jitter,
         )
         self.observe()
+        queue = self.queue
         for i in range(self._n):
-            self._arm_timer_fast(i)
-            self._broadcast(i)
+            # interval + uniform(0, jitter); ``0.0 + (j - 0.0) * r == j * r``
+            # exactly for j >= 0, so the inlined form is draw-identical.
+            delay = self.timer_interval + self.timer_jitter * self.rng.random()
+            heappush(self._heap,
+                     (queue.now + delay, next(queue._seq), TIMER, i, 0, 0))
+            # The initial announcement; every link is idle before it.
+            for lid in self._out_lids[i]:
+                self._transmit(lid, self._p[i])
         self.observe()
 
     def run(self, duration: float, max_events: Optional[int] = None) -> None:
@@ -449,66 +399,152 @@ class FastCSTNetwork(MessagePassingNetwork):
         self.timeline.finish(self.queue.now)
 
     def _run_until(self, t_end: float, max_events: Optional[int]) -> int:
+        """Dispatch every event with ``time <= t_end``; returns the count.
+
+        One body over local bindings.  Each arm is the reference handler
+        on packed state: ``ARRIVE`` is ``Link._arrive`` + ``make_deliver``
+        + ``CSTNode.on_receive``, ``ACT`` is ``CSTNode._act``, ``TIMER`` is
+        the network's timer closure + ``CSTNode.on_timer``.
+        """
         self._drain_facade_queue()
-        heap = self._wheel.heap
+        heap = self._heap
         queue = self.queue
+        seq = queue._seq
+        random_ = self.rng.random
         bus = self.bus
         subs = bus._subscribers
-        unpack = self.codec.unpack
-        l_src, l_dst = self._l_src, self._l_dst
+        codec = self.codec
+        unpack, rule_id, execute = codec.unpack, codec.rule_id, codec.execute
+        census = self._census
+        p, cp, cs, rids = self._p, self._cp, self._cs, self._rid
+        seen_p, seen_cp, seen_cs = self._seen_p, self._seen_cp, self._seen_cs
+        nodes = self.nodes
+        pending = self._pending_act
+        chatty = self._chatty
+        has_dwell = self._has_dwell
+        out_lids = self._out_lids
+        l_src, l_dst, l_slot = self._l_src, self._l_dst, self._l_slot
         l_busy = self._l_busy
-        l_has_pending = self._l_has_pending
         l_pending = self._l_pending
+        links = self._links
+        transmit = self._transmit
+        consider = self._consider
+        observe = self.observe
+        interval, jitter = self.timer_interval, self.timer_jitter
+        watch = self._watching()
         count = 0
         while heap and heap[0][0] <= t_end:
-            entry = heappop(heap)
-            time_ = entry[0]
+            time_, _, code, a, b, flags = heappop(heap)
             queue.now = time_
-            code = entry[2]
             if code == ARRIVE:
-                lid = entry[3]
-                packed = entry[4]
-                flags = entry[5]
-                l_busy[lid] = False
+                l_busy[a] = False
+                link = links[a]
                 if flags & 1:
-                    self._l_lost[lid] += 1
+                    link.lost += 1
                     if subs:
-                        bus.publish("network", "loss", time_,
-                                    src=l_src[lid], dst=l_dst[lid],
-                                    state=unpack(packed))
+                        bus.publish("network", "loss", time_, src=l_src[a],
+                                    dst=l_dst[a], state=unpack(b))
                 else:
-                    copies = 2 if flags & 2 else 1
-                    for _ in range(copies):
-                        self._l_delivered[lid] += 1
+                    i = l_dst[a]
+                    for _ in _TWICE if flags & 2 else _ONCE:
+                        link.delivered += 1
                         if subs:
                             bus.publish("network", "deliver", time_,
-                                        src=l_src[lid], dst=l_dst[lid],
-                                        state=unpack(packed))
-                        self._deliver(lid, packed)
+                                        src=l_src[a], dst=i, state=unpack(b))
+                        # Cache write: only a new value moves a census fact
+                        # or the rule id.
+                        changed = False
+                        if l_slot[a]:
+                            if b != cs[i]:
+                                census.set_succ_cache(i, b)
+                                seen_cs[i] = value = unpack(b)
+                                nodes[i].cache[l_src[a]] = value
+                                rids[i] = rule_id(p[i], cp[i], b, i)
+                                changed = True
+                        elif b != cp[i]:
+                            census.set_pred_cache(i, b)
+                            seen_cp[i] = value = unpack(b)
+                            nodes[i].cache[l_src[a]] = value
+                            rids[i] = rule_id(p[i], b, cs[i], i)
+                            changed = True
+                        if has_dwell:
+                            fire = chatty[i]
+                        else:
+                            # The literal reading executes inline.
+                            fire = rids[i]
+                            if fire:
+                                own = p[i]
+                                new = execute(fire, own, cp[i], cs[i], i)
+                                nodes[i].rules_executed += 1
+                                if new != own:
+                                    census.set_state(i, new)
+                                    nodes[i].state = seen_p[i] = unpack(new)
+                                    rids[i] = rule_id(new, cp[i], cs[i], i)
+                                    changed = True
+                                    if watch:
+                                        observe()
+                            fire = fire or chatty[i]
+                        if fire:
+                            # Broadcast: transmit on idle links, coalesce on
+                            # busy ones.
+                            own = p[i]
+                            for lid in out_lids[i]:
+                                if l_busy[lid]:
+                                    if l_pending[lid] is not None:
+                                        links[lid].coalesced += 1
+                                    l_pending[lid] = own
+                                else:
+                                    transmit(lid, own)
+                        if has_dwell and rids[i] and not pending[i]:
+                            consider(i)
+                        if changed or watch:
+                            observe()
                 # Pump the coalesced payload if delivery left the link free.
-                if l_has_pending[lid] and not l_busy[lid]:
-                    pkt = l_pending[lid]
-                    l_has_pending[lid] = False
-                    self._transmit(lid, pkt)
-            elif code == ACT:
-                i = entry[3]
-                self._pending_act[i] = False
-                self._try_execute(i)
-                self._broadcast(i)
-                self._consider(i)
-            elif code == TIMER:
-                i = entry[3]
-                if subs:
-                    bus.publish("network", "timer", time_,
-                                src=i, dst=i, state=None)
-                self._timer_fires[i] += 1
-                self._broadcast(i)
-                if self._has_dwell:
-                    self._consider(i)
-                self._arm_timer_fast(i)
-            else:  # PYCALL — externally scheduled facade event
-                entry[3]()
+                own = l_pending[a]
+                if own is not None and not l_busy[a]:
+                    l_pending[a] = None
+                    transmit(a, own)
+            elif code != PYCALL:
+                # ACT (a dwell expired) or TIMER: node a acts or counts a
+                # tick, announces its state, and reconsiders its rule.
+                if code == ACT:
+                    pending[a] = False
+                    fire = rids[a]
+                    if fire:
+                        own = p[a]
+                        new = execute(fire, own, cp[a], cs[a], a)
+                        nodes[a].rules_executed += 1
+                        if new != own:
+                            census.set_state(a, new)
+                            nodes[a].state = seen_p[a] = unpack(new)
+                            rids[a] = rule_id(new, cp[a], cs[a], a)
+                            observe()
+                else:
+                    if subs:
+                        bus.publish("network", "timer", time_,
+                                    src=a, dst=a, state=None)
+                    nodes[a].timer_fires += 1
+                own = p[a]
+                for lid in out_lids[a]:
+                    if l_busy[lid]:
+                        if l_pending[lid] is not None:
+                            links[lid].coalesced += 1
+                        l_pending[lid] = own
+                    else:
+                        transmit(lid, own)
+                if has_dwell and rids[a] and not pending[a]:
+                    consider(a)
+                if code == TIMER:
+                    # Re-arm: now + (interval + uniform(0, jitter)), grouped
+                    # as the reference groups it (float sums do not
+                    # associate).
+                    heappush(heap, (time_ + (interval + jitter * random_()),
+                                    next(seq), TIMER, a, 0, 0))
+            else:  # PYCALL: an externally scheduled facade event
+                a()
                 self._drain_facade_queue()
+                self._sync_in()
+                watch = self._watching()
             count += 1
             if max_events is not None and count > max_events:
                 queue.executed += count
@@ -526,8 +562,10 @@ class FastCSTNetwork(MessagePassingNetwork):
         """Transient fault: overwrite a node's state (caches stay stale)."""
         node = self.nodes[index]
         packed = self._pack_state(new_state, f"state of node {index}")
-        node.state = new_state
+        node.state = self._seen_p[index] = new_state
         self._census.set_state(index, packed)
+        self._rid[index] = self.codec.rule_id(
+            packed, self._cp[index], self._cs[index], index)
         # The reference fires on_state_change unconditionally, which lands
         # in the network's observe; mirror that observation point.
         self.observe()
@@ -542,20 +580,14 @@ class FastCSTNetwork(MessagePassingNetwork):
         )
         node.cache[neighbor] = value
         if neighbor == (index - 1) % self._n:
+            self._seen_cp[index] = value
             self._census.set_pred_cache(index, packed)
         else:
+            self._seen_cs[index] = value
             self._census.set_succ_cache(index, packed)
+        self._rid[index] = self.codec.rule_id(
+            self._p[index], self._cp[index], self._cs[index], index)
         self.observe()
-
-    def fail_link(self, a: int, b: int, duration: float) -> None:
-        """Bidirectional outage window, mirrored into the packed arrays."""
-        try:
-            super().fail_link(a, b, duration)
-        finally:
-            for key in ((a, b), (b, a)):
-                lid = self._lid.get(key)
-                if lid is not None:
-                    self._l_outage[lid] = self._links[lid].outage_until
 
 
 __all__ = ["FastCSTNetwork"]

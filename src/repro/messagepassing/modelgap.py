@@ -22,6 +22,7 @@ fig11/fig12/fig13 and abl1 benches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -93,20 +94,30 @@ def evaluate_gap(
         Simulated time to run.
     sample_observations:
         Also collect cached-vs-true aggregate comparisons every
-        ``sample_every`` time units (slower; used by the Definition-3 tests).
+        ``sample_every`` time units (slower; used by the Definition-3 tests);
+        the last comparison is at exactly the end of the run.  Raises
+        :class:`ValueError` for a non-positive ``sample_every``.
     warmup:
         Ignore the interval ``[0, warmup)`` in the statistics (used when the
         start is not legitimate+coherent and the claim only applies after
         stabilization).
     """
+    if sample_observations and not sample_every > 0.0:
+        raise ValueError(f"sample_every must be > 0, got {sample_every}")
     observations: List[GapObservation] = []
     if not network._started:
         network.start()
     if sample_observations:
-        remaining = duration
-        while remaining > 0:
-            slice_d = min(sample_every, remaining)
-            network.run(slice_d)
+        # One slice per whole step, each ending at start + j * sample_every
+        # and the last at exactly start + duration.  A step count within
+        # 1e-9 of an integer is whole, so float noise in the ratio adds no
+        # sliver slice at the end.
+        start = network.queue.now
+        steps = 0 if duration <= 0 else max(
+            1, math.ceil(duration / sample_every - 1e-9))
+        for j in range(1, steps + 1):
+            end = start + (duration if j == steps else j * sample_every)
+            network.run(end - network.queue.now)
             observations.append(
                 GapObservation(
                     time=network.queue.now,
@@ -114,7 +125,6 @@ def evaluate_gap(
                     true_holders=network.true_token_holders(),
                 )
             )
-            remaining -= slice_d
     else:
         network.run(duration)
 

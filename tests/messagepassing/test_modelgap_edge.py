@@ -37,6 +37,31 @@ class TestGapReportSemantics:
         times = [o.time for o in rep.observations]
         assert times == sorted(times)
 
+    @pytest.mark.parametrize("warm, duration, every, count", [
+        (0.0, 1.0, 0.1, 10),
+        (0.0, 40.0, 0.8, 50),
+        (2.5, 10.0, 3.0, 4),
+    ])
+    def test_sampling_takes_whole_steps_and_ends_exactly(
+            self, warm, duration, every, count):
+        """Sample times are start + j * every, the last exactly start +
+        duration: summing slice lengths would drift (0.1 ten times is not
+        1.0) into a sliver slice and an extra sample."""
+        net = transformed(SSRmin(5, 6), seed=8)
+        net.run(warm)
+        rep = evaluate_gap(net, duration=duration, sample_observations=True,
+                           sample_every=every)
+        want = [warm + j * every for j in range(1, count)] + [warm + duration]
+        assert [o.time for o in rep.observations] == want
+        assert net.queue.now == warm + duration
+
+    def test_sampling_rejects_non_positive_cadence(self):
+        net = transformed(SSRmin(5, 6), seed=9)
+        with pytest.raises(ValueError, match="sample_every"):
+            evaluate_gap(net, duration=5.0, sample_observations=True,
+                         sample_every=0.0)
+        assert not net._started
+
     def test_observations_empty_without_sampling(self):
         net = transformed(SSRmin(5, 6), seed=5)
         rep = evaluate_gap(net, duration=20.0)

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.dijkstra import DijkstraKState
 from repro.core.ssrmin import SSRmin
+from repro.messagepassing.coherence import CoherenceTracker
 from repro.messagepassing.cst import (
     coherent_caches,
     legitimate_initial_states,
@@ -221,6 +222,122 @@ def test_lockstep_through_corruption_and_outage():
         net.corrupt_cache(1, 2, (0, 0, 1))
         net.fail_link(0, 1, 15.0)
         net.run(60.0)
+    assert_lockstep(fast, ref)
+
+
+def test_lockstep_literal_reading_under_loss_and_duplication():
+    """``dwell_model=None``: rules execute inline in the delivery arm."""
+    alg = SSRmin(5, 6)
+    states = legitimate_initial_states(alg)
+
+    def builder(use_fastpath):
+        return build_cst_network(
+            alg, states, initial_caches=coherent_caches(states, alg.n),
+            dwell_model=None, delay_model=ExponentialDelay(1.0),
+            loss_probability=0.2, duplicate_probability=0.2, seed=29,
+            use_fastpath=use_fastpath,
+        )
+
+    fast, ref = _both(builder)
+    for net in (fast, ref):
+        net.run(150.0)
+    assert_lockstep(fast, ref)
+    stats = fast.message_stats()
+    assert stats["duplicated"] > 0 and stats["lost"] > 0
+    assert sum(node.rules_executed for node in fast.nodes) > 0
+
+
+def test_lockstep_faults_scheduled_mid_slice():
+    """Facade events on the shared queue run between packed events."""
+    fast, ref = _both(transformed, algorithm=SSRmin(5, 6), seed=31)
+    for net in (fast, ref):
+        net.run(10.0)
+        net.queue.schedule(
+            3.25, lambda net=net: net.corrupt_node(3, (1, 1, 0)))
+        net.queue.schedule(
+            7.5, lambda net=net: net.corrupt_cache(2, 1, (4, 0, 1)))
+        net.run(40.0)
+    assert_lockstep(fast, ref)
+    assert 13.25 in {point.time for point in fast.timeline.points}
+
+
+def test_lockstep_direct_facade_writes_mid_slice():
+    """A scheduled event that assigns facade state and cache entries
+    directly takes effect at once, as on the reference engine."""
+    fast, ref = _both(transformed, algorithm=SSRmin(5, 6), seed=33)
+
+    def scribble(net):
+        net.nodes[4].cache[0] = (2, 0, 0)
+        net.nodes[1].state = (5, 0, 1)
+
+    for net in (fast, ref):
+        net.run(10.0)
+        net.queue.schedule(4.5, lambda net=net: scribble(net))
+        net.run(40.0)
+    assert_lockstep(fast, ref)
+
+
+def test_second_tracker_after_a_fault_matches():
+    """A tracker built mid-life re-arms the native latch
+    (``reset_stabilization``) and reports the next stabilization."""
+    fast, ref = _both(transformed_from_chaos, algorithm=SSRmin(5, 6),
+                      seed=37)
+    times = []
+    for net in (fast, ref):
+        first = CoherenceTracker(net).run_until_stabilized(slice_duration=5.0)
+        net.run(10.0)
+        x = net.nodes[2].state[0]
+        net.corrupt_node(2, ((x + 3) % 6, 1, 1))
+        tracker = CoherenceTracker(net)
+        assert tracker.stabilized_at is None
+        times.append((first, tracker.run_until_stabilized(slice_duration=5.0)))
+    assert times[0] == times[1]
+    first, second = times[0]
+    assert second > first + 10.0
+    assert_lockstep(fast, ref)
+
+
+def test_tracker_built_while_the_condition_holds_matches():
+    """Built on a legitimate, coherent network whose latch is already set,
+    a tracker reports the next observation point, not a later change."""
+    fast, ref = _both(transformed, algorithm=SSRmin(5, 6), seed=47)
+    times = []
+    for net in (fast, ref):
+        net.start()
+        tracker = CoherenceTracker(net)
+        net.run(5.0)
+        times.append(tracker.stabilized_at)
+    assert times[0] == times[1]
+    assert 0.0 < times[0] < 5.0
+
+
+def test_max_events_guard_trips_identically():
+    fast, ref = _both(transformed_from_chaos, algorithm=SSRmin(6, 7), seed=41)
+    for net in (fast, ref):
+        with pytest.raises(RuntimeError, match="max_events=777"):
+            net.run(500.0, max_events=777)
+    assert fast.queue.executed == 778
+    assert_lockstep(fast, ref)
+
+
+def test_bus_streams_match_with_a_subscriber():
+    """A subscriber sees the same send/deliver/loss/timer/census stream."""
+    fast, ref = _both(transformed_from_chaos, algorithm=SSRmin(5, 6),
+                      seed=43, loss_probability=0.2,
+                      duplicate_probability=0.2)
+    streams = []
+    for net in (fast, ref):
+        events = []
+        net.bus.subscribe(events.append)
+        net.run(80.0)
+        records = [event.to_json() for event in events]
+        for record in records:
+            if record["kind"] == "net_start":
+                record["payload"].pop("engine")
+        streams.append(records)
+    assert streams[0] == streams[1]
+    kinds = {record["kind"] for record in streams[0]}
+    assert {"send", "deliver", "loss", "timer", "census"} <= kinds
     assert_lockstep(fast, ref)
 
 
