@@ -209,11 +209,16 @@ class SSRmin(RingAlgorithm[Configuration, StateTuple]):
         ]
 
     def random_configuration(self, rng: random.Random) -> Configuration:
-        """Uniformly random configuration — an arbitrary post-fault state."""
-        return Configuration(
-            (rng.randrange(self.K), rng.randrange(2), rng.randrange(2))
+        """Uniformly random configuration — an arbitrary post-fault state.
+
+        Draws ``x``, ``rts``, ``tra`` per process in index order; the draws
+        are in-domain ints, so the configuration skips re-validation.
+        """
+        randrange, K = rng.randrange, self.K
+        return Configuration.from_states(tuple(
+            (randrange(K), randrange(2), randrange(2))
             for _ in range(self.n)
-        )
+        ))
 
     def normalize_configuration(self, raw: Any) -> Configuration:
         return raw if isinstance(raw, Configuration) else Configuration(raw)

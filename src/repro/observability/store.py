@@ -190,6 +190,16 @@ SWEEP_CELL_COLUMNS = (
     "cell_key", "params", "seed", "engine", "wall_seconds", "result",
 )
 
+#: The one ``sweep_cells`` write: a row is ``(sweep_id, cell_index,
+#: *SWEEP_CELL_COLUMNS)``, and a re-recorded cell replaces its row.
+_UPSERT_SWEEP_CELL = (
+    "INSERT INTO sweep_cells (sweep_id, cell_index, "
+    + ", ".join(SWEEP_CELL_COLUMNS) + ") VALUES ("
+    + ", ".join("?" * (2 + len(SWEEP_CELL_COLUMNS))) + ") "
+    "ON CONFLICT (sweep_id, cell_index) DO UPDATE SET "
+    + ", ".join(f"{c} = excluded.{c}" for c in SWEEP_CELL_COLUMNS)
+)
+
 
 def _jsonify(value: Any) -> Optional[str]:
     """JSON-encode dict/list payload columns (None passes through)."""
@@ -728,22 +738,32 @@ class RunStore:
     def upsert_sweep_cell(
         self, sweep_id: int, cell_index: int, **columns: Any
     ) -> None:
-        """Record one completed cell (idempotent on re-record)."""
+        """Record one completed cell (idempotent on re-record).
+
+        A one-row :meth:`upsert_sweep_cells`: columns left out are NULL.
+        """
         unknown = set(columns) - set(SWEEP_CELL_COLUMNS)
         if unknown:
             raise ValueError(f"unknown sweep cell columns: {sorted(unknown)}")
         for key in ("params", "result"):
             if key in columns:
                 columns[key] = _jsonify(columns[key])
-        keys = sorted(columns)
-        cols = ["sweep_id", "cell_index"] + keys
-        updates = ", ".join(f"{k} = excluded.{k}" for k in keys)
-        self._execute(
-            f"INSERT INTO sweep_cells ({', '.join(cols)}) "
-            f"VALUES ({', '.join('?' * len(cols))}) "
-            f"ON CONFLICT (sweep_id, cell_index) DO UPDATE SET {updates}",
-            [sweep_id, cell_index] + [columns[k] for k in keys],
-        )
+        self.upsert_sweep_cells([
+            (sweep_id, cell_index)
+            + tuple(columns.get(c) for c in SWEEP_CELL_COLUMNS)
+        ])
+
+    def upsert_sweep_cells(self, rows: Sequence[Sequence[Any]]) -> None:
+        """Record completed cells in one statement (one buffered mutation).
+
+        Each row is ``(sweep_id, cell_index, *SWEEP_CELL_COLUMNS)`` with
+        ``params`` and ``result`` already JSON text; a re-recorded
+        ``(sweep_id, cell_index)`` replaces its row.
+        """
+        self._conn.executemany(_UPSERT_SWEEP_CELL, rows)
+        self._pending += 1
+        if self._pending >= COMMIT_EVERY:
+            self.flush()
 
     def sweep_cells_for(self, sweep_id: int) -> List[Dict[str, Any]]:
         """Recorded cell rows of one sweep, in grid order."""

@@ -22,13 +22,16 @@ completion:
      :func:`repro.experiments.parallel.run_tasks_parallel` (the
      pre-kernel-layer execution shape; DES cells always run this way);
 
-3. checkpoint every completed cell durably (JSONL + sqlite index) the
-   moment it finishes, and stream one ``("sweep", "sweep_progress")``
-   telemetry event per cell into the ambient session.
+3. checkpoint every completed cell the moment it finishes (a flushed
+   JSONL line; its sqlite index row is committed with the next
+   :data:`~repro.sweeps.store.GROUP_CHUNK` rows or at the end of the
+   pass), and stream one ``("sweep", "sweep_progress")`` telemetry event
+   per cell into the ambient session.
 
 A killed run (SIGTERM mid-grid) therefore loses nothing but in-flight
-cells; ``resume`` re-runs exactly the missing set and, because cells are
-pure functions of their parameters, lands bit-identical results.
+cells: the next open re-indexes any checkpointed cell whose row had not
+been committed, ``resume`` re-runs exactly the missing set and, because
+cells are pure functions of their parameters, lands bit-identical results.
 
 :func:`run_cells` is the store-free form of step 2: it runs a whole grid
 the same way and returns the results in grid order (``run_thm4`` uses it).
@@ -41,16 +44,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.observability.store import RunStore
 from repro.sweeps.spec import CellSpec, SweepSpec
-from repro.sweeps.store import SweepStore
+from repro.sweeps.store import GROUP_CHUNK, SweepStore
 
 #: Execution modes: ``auto`` batches whatever is batchable.
 MODES = ("auto", "batched", "per-cell")
-
-#: Cells per lockstep group — bounds the kernel's working arrays at a few
-#: ``chunk * max(n)`` arrays (int64 counters, byte-wide handshake and rule
-#: codes, one step's uint64 coin draws) while keeping per-chunk numpy
-#: dispatch overhead amortized.
-GROUP_CHUNK = 256
 
 #: Algorithm factories by name (names, not classes, cross process
 #: boundaries in per-cell mode).
@@ -125,11 +122,9 @@ def _timed(job: tuple) -> Tuple[Dict[str, Any], float]:
 
 
 def _publish_progress(
-    name: str, done: int, total: int, cell: Optional[CellSpec], engine: str
+    session: Any, name: str, done: int, total: int,
+    cell: Optional[CellSpec], engine: str,
 ) -> None:
-    from repro.telemetry.session import current_session
-
-    session = current_session()
     if session is None:
         return
     fields: Dict[str, Any] = {
@@ -301,6 +296,8 @@ def run_sweep(
     """
     import os
 
+    from repro.telemetry.session import current_session
+
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     batchable = _batchable(spec)
@@ -328,14 +325,16 @@ def run_sweep(
             total = len(cells)
             missing = [c for c in cells if c.index not in done_before]
             done = len(done_before)
-            _publish_progress(spec.name, done, total, None, mode)
+            session = current_session()
+            _publish_progress(session, spec.name, done, total, None, mode)
 
             def _record(cell: CellSpec, result: Dict[str, Any],
                         engine: str, wall: float) -> None:
                 nonlocal done
                 store.record(cell, result, engine, wall)
                 done += 1
-                _publish_progress(spec.name, done, total, cell, engine)
+                _publish_progress(session, spec.name, done, total, cell,
+                                  engine)
                 if throttle > 0.0:
                     time.sleep(throttle)
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Any, Dict, List, Tuple
 
@@ -194,8 +194,12 @@ class SweepSpec:
 
     # -- identity / serialization --------------------------------------------
     def to_json(self) -> dict:
-        """Plain-dict form (``spec.json`` / run-store ``sweeps.spec``)."""
-        return asdict(self)
+        """Plain-dict form (``spec.json`` / run-store ``sweeps.spec``).
+
+        Axis values stay tuples (JSON arrays); every field is immutable,
+        so nothing is copied.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "SweepSpec":

@@ -1,24 +1,27 @@
 """The resumable sweep store: per-cell checkpoints + sqlite manifest index.
 
 Week-long sweeps die — machines reboot, schedulers SIGTERM, quotas hit —
-so every completed cell is durable the moment it finishes, in two places:
+so every completed cell is durable the moment it finishes, and indexed
+soon after:
 
 * ``<base_dir>/sweeps/<name>/cells.jsonl`` — one appended, flushed JSON
   line per cell (``index``, ``key``, ``params``, ``seed``, ``engine``,
-  ``wall_seconds``, ``result``).  The append-and-flush discipline means a
-  kill can lose at most the line being written; :meth:`completed`
-  tolerates (and drops) a truncated tail.
+  ``wall_seconds``, ``result``), written before :meth:`SweepStore.record`
+  returns.  The append-and-flush discipline means a kill can lose at
+  most the line being written; :meth:`completed` tolerates (and drops) a
+  truncated tail.
 * the :class:`~repro.observability.store.RunStore` ``sweeps`` /
   ``sweep_cells`` tables (schema v3) — the queryable manifest index that
-  ``repro sweep status|report`` and the CI assertions read.
+  ``repro sweep status|report`` and the CI assertions read.  Cell rows
+  are buffered and written in one statement and one commit per
+  :data:`GROUP_CHUNK` cells, and again at :meth:`finish`/:meth:`close`.
 
 The JSONL is the write-ahead source of truth; on open, :meth:`completed`
 *reconciles* the two — any cell present in the JSONL but missing from
-sqlite (lost to the run store's buffered commits when the process died)
-is re-indexed.  Results never change on reconcile: a cell's result is a
-pure function of its parameters (see :mod:`repro.sweeps.spec`), which is
-what makes re-running only the missing cells bit-identical to an
-uninterrupted run.
+sqlite (a buffered row lost when the process died) is re-indexed.
+Results never change on reconcile: a cell's result is a pure function of
+its parameters (see :mod:`repro.sweeps.spec`), which is what makes
+re-running only the missing cells bit-identical to an uninterrupted run.
 
 ``spec.json`` in the sweep directory pins the grid; attaching with a
 different spec (by :meth:`SweepStore.create`) fails on the grid hash
@@ -30,7 +33,8 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import os
-from typing import Any, Dict, Optional
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.observability.store import RunStore
 from repro.sweeps.spec import SweepSpec
@@ -38,6 +42,13 @@ from repro.sweeps.spec import SweepSpec
 #: Sweep state machine values recorded in the ``sweeps.status`` column.
 STATUS_RUNNING = "running"
 STATUS_COMPLETED = "completed"
+
+#: Cells per lockstep kernel group (:mod:`repro.sweeps.engine`) and per
+#: ``sweep_cells`` transaction.  It bounds the kernel's working arrays at
+#: a few ``chunk * max(n)`` arrays (byte-wide counters below ``K = 256``,
+#: int64 above; byte-wide handshake and rule codes; one step's uint64
+#: coin draws) while amortizing numpy dispatch and sqlite commits.
+GROUP_CHUNK = 256
 
 
 def sweep_dir(base_dir: str, name: str) -> str:
@@ -65,14 +76,17 @@ class SweepStore:
         self._cells_path = os.path.join(self.directory, "cells.jsonl")
         self._spec_path = os.path.join(self.directory, "spec.json")
         self._append_fh = None
+        #: ``sweep_cells`` rows recorded but not yet written to sqlite.
+        self._rows: List[Tuple[Any, ...]] = []
         os.makedirs(self.directory, exist_ok=True)
+        spec_json = spec.to_json()
         if not os.path.isfile(self._spec_path):
             with open(self._spec_path, "w") as fh:
-                json.dump(spec.to_json(), fh, indent=2, sort_keys=True)
+                json.dump(spec_json, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         self.sweep_id = run_store.upsert_sweep(
             spec.name,
-            spec=spec.to_json(),
+            spec=spec_json,
             directory=self.directory,
             cells=spec.total_cells(),
             status=STATUS_RUNNING,
@@ -150,6 +164,7 @@ class SweepStore:
         tail line) and the sqlite index, then repairs the index from the
         JSONL where the two diverge.
         """
+        self._write_rows()
         records: Dict[int, Dict[str, Any]] = {}
         if os.path.isfile(self._cells_path):
             with open(self._cells_path) as fh:
@@ -191,33 +206,58 @@ class SweepStore:
         engine: str,
         wall_seconds: float,
     ) -> Dict[str, Any]:
-        """Durably checkpoint one completed cell (JSONL first, then index)."""
-        record = {
-            "index": cell.index,
+        """Durably checkpoint one completed cell.
+
+        The cell's JSONL line is written and flushed before this returns;
+        its index row joins the buffer that is committed every
+        :data:`GROUP_CHUNK` cells.  ``params`` and ``result`` are encoded
+        once each, for the line and the row alike.
+        """
+        index, seed = int(cell.index), int(cell.seed)
+        wall = round(float(wall_seconds), 6)
+        params = json.dumps(cell.params, sort_keys=True)
+        encoded = json.dumps(result, sort_keys=True)
+        if self._append_fh is None:
+            self._open_append()
+        # Byte for byte ``json.dumps(record, sort_keys=True)`` of the
+        # record returned below.
+        self._append_fh.write(
+            f'{{"engine": {_json_str(engine)}, "index": {index}, '
+            f'"key": {_json_str(cell.key)}, "params": {params}, '
+            f'"result": {encoded}, "seed": {seed}, '
+            f'"wall_seconds": {wall!r}}}\n'
+        )
+        self._append_fh.flush()
+        self._rows.append(
+            (self.sweep_id, index, cell.key, params, seed, engine, wall,
+             encoded)
+        )
+        if len(self._rows) >= GROUP_CHUNK:
+            self._write_rows()
+            self.run_store.flush()
+        return {
+            "index": index,
             "key": cell.key,
             "params": cell.params,
-            "seed": cell.seed,
+            "seed": seed,
             "engine": engine,
-            "wall_seconds": round(wall_seconds, 6),
+            "wall_seconds": wall,
             "result": result,
         }
-        if self._append_fh is None:
-            # A kill mid-write can leave a truncated, newline-less tail;
-            # start on a fresh line so the garbage can't swallow this record.
-            needs_newline = False
-            if os.path.isfile(self._cells_path):
-                with open(self._cells_path, "rb") as fh:
-                    fh.seek(0, os.SEEK_END)
-                    if fh.tell() > 0:
-                        fh.seek(-1, os.SEEK_END)
-                        needs_newline = fh.read(1) != b"\n"
-            self._append_fh = open(self._cells_path, "a")
-            if needs_newline:
-                self._append_fh.write("\n")
-        self._append_fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._append_fh.flush()
-        self._index_cell(record)
-        return record
+
+    def _open_append(self) -> None:
+        # A kill mid-write can leave a truncated, newline-less tail;
+        # start on a fresh line so the garbage can't swallow the next record.
+        needs_newline = False
+        if os.path.isfile(self._cells_path):
+            with open(self._cells_path, "rb") as fh:
+                fh.seek(0, os.SEEK_END)
+                if fh.tell() > 0:
+                    fh.seek(-1, os.SEEK_END)
+                    needs_newline = fh.read(1) != b"\n"
+        self._append_fh = open(self._cells_path, "a")
+        if needs_newline:
+            self._append_fh.write("\n")
 
     def _index_cell(self, record: Dict[str, Any]) -> None:
         self.run_store.upsert_sweep_cell(
@@ -231,7 +271,14 @@ class SweepStore:
             result=record.get("result"),
         )
 
+    def _write_rows(self) -> None:
+        """Write the buffered index rows in one statement (uncommitted)."""
+        if self._rows:
+            self.run_store.upsert_sweep_cells(self._rows)
+            self._rows = []
+
     def _discard_cells(self) -> None:
+        self._rows = []
         self.run_store.reset_sweep_cells(self.sweep_id)
         self.run_store.flush()
         if os.path.isfile(self._cells_path):
@@ -239,7 +286,9 @@ class SweepStore:
 
     # -- sweep row -----------------------------------------------------------
     def finish(self, completed: int, wall_seconds: float) -> None:
-        """Update the manifest row after a run/resume pass."""
+        """Update the manifest row after a run/resume pass, committing it
+        with any buffered cell rows."""
+        self._write_rows()
         row = self.run_store.get_sweep(self.spec.name) or {}
         total = self.spec.total_cells()
         self.run_store.upsert_sweep(
@@ -254,7 +303,11 @@ class SweepStore:
         self.run_store.flush()
 
     def close(self) -> None:
-        """Close the JSONL append handle (the run store is borrowed)."""
+        """Commit buffered cell rows and close the JSONL append handle
+        (the run store is borrowed: it stays open)."""
+        if self._rows:
+            self._write_rows()
+            self.run_store.flush()
         if self._append_fh is not None:
             self._append_fh.close()
             self._append_fh = None
@@ -267,6 +320,7 @@ class SweepStore:
 
 
 __all__ = [
+    "GROUP_CHUNK",
     "STATUS_COMPLETED",
     "STATUS_RUNNING",
     "SweepStore",

@@ -5,7 +5,9 @@
 against ``is_legitimate``, ``enabled_processes`` and ``privileged``.
 ``advance_configurations`` is checked step by step against
 ``SharedMemorySimulator`` driven by a scalar daemon that draws the
-kernel's counter-keyed numbers, under every daemon family.
+kernel's counter-keyed numbers, under every daemon family.  The step loop
+keeps counters byte-wide below ``K = 256``; both sides of that boundary
+are checked against the scalar engine.
 """
 
 import random
@@ -16,13 +18,16 @@ import pytest
 from repro.core.ssrmin import SSRmin
 from repro.daemons.distributed import BernoulliDaemon
 from repro.kernels.batched import (
+    STREAM_INIT_H,
+    STREAM_INIT_X,
     advance_configurations,
     batched_guards,
     batched_legitimate,
     batched_privileged_counts,
     run_convergence_cells,
 )
-from repro.simulation.convergence import convergence_steps
+from repro.kernels.prng import grid_integers
+from repro.simulation.convergence import converge, convergence_steps
 from repro.simulation.engine import SharedMemorySimulator
 from repro.simulation.initial import all_legitimate, random_legitimate
 from tests.kernels.test_batched_backend import CounterKeyedDaemon
@@ -97,6 +102,60 @@ class TestStepEquivalence:
             scalar = sim.run(start, max_steps=30)
             expected = [c.states for c in scalar.execution.configurations[1:]]
             assert [states[row] for states in stepped] == expected
+
+    @pytest.mark.parametrize("K", [255, 256],
+                             ids=["uint8-lanes", "int64-lanes"])
+    @pytest.mark.parametrize("daemon", ["synchronous", "central",
+                                        "bernoulli:0.5"])
+    def test_advance_at_the_counter_width_boundary(self, daemon, K):
+        """K = 255 is the largest K on byte-wide counters (the bottom
+        process computes 254 + 1), K = 256 the smallest on int64 ones."""
+        alg = SSRmin(5, K)
+        top = alg.initial_configuration(x=K - 1)  # P0's next x wraps to 0
+        starts = random_configs(alg, K, 8) + [
+            top,
+            alg.initial_configuration(x=K - 2),
+            random_legitimate(alg, random.Random(K)),
+        ]
+        seeds = list(range(-5, len(starts) - 5))
+        X, H = to_arrays(starts)
+        stepped = []
+        for X_k, H_k in advance_configurations(X, H, seeds, daemon, K=K,
+                                               steps=3 * K):
+            assert X_k.dtype == (np.uint8 if K < 256 else np.int64)
+            stepped.append(rows_as_states(X_k, H_k))
+        row = starts.index(top)
+        assert any(states[row][0][0] == 0 for states in stepped)
+        for row, (seed, start) in enumerate(zip(seeds, starts)):
+            sim = SharedMemorySimulator(alg, CounterKeyedDaemon(daemon, seed))
+            scalar = sim.run(start, max_steps=3 * K)
+            expected = [c.states for c in scalar.execution.configurations[1:]]
+            assert [states[row] for states in stepped] == expected
+
+    @pytest.mark.parametrize("K", [255, 256],
+                             ids=["uint8-lanes", "int64-lanes"])
+    @pytest.mark.parametrize("daemon", ["synchronous", "central",
+                                        "bernoulli:0.5"])
+    def test_convergence_cells_at_the_counter_width_boundary(self, daemon, K):
+        n, seeds = 5, list(range(-4, 12))
+        X = grid_integers(seeds, STREAM_INIT_X, 0, n, K)
+        H = grid_integers(seeds, STREAM_INIT_H, 0, n, 4)
+        assert X.max() >= 200  # the draws reach the top of the byte
+        alg = SSRmin(n, K)
+        for row, (seed, result) in enumerate(
+                zip(seeds, run_convergence_cells(n, seeds, daemon, K=K))):
+            init = tuple((int(X[row, i]), int(H[row, i]) >> 1,
+                          int(H[row, i]) & 1) for i in range(n))
+            scalar = converge(alg, CounterKeyedDaemon(daemon, seed), init)
+            assert scalar.converged and result["converged"]
+            assert scalar.steps == result["steps"]
+
+    def test_advance_rejects_counters_outside_the_domain(self):
+        X, H = to_arrays([SSRmin(5, 6).initial_configuration()])
+        for bad in (6, -1, 300):
+            X[0, 2] = bad
+            with pytest.raises(ValueError):
+                next(advance_configurations(X, H, [0], K=6, steps=1))
 
     def test_advance_rejects_bad_params(self):
         X, H = to_arrays([SSRmin(5, 6).initial_configuration()])

@@ -85,3 +85,17 @@ def test_grid_hash_tracks_the_grid():
     c = SweepSpec(name="s", seeds=(0, 2))
     assert a.grid_hash() == b.grid_hash()
     assert a.grid_hash() != c.grid_hash()
+
+
+def test_grid_hash_is_pinned():
+    # Recorded sweep directories are resumed by this hash: a change to
+    # the spec's JSON form would orphan every existing checkpoint.
+    conv = SweepSpec(name="pinned", n_values=(5, 8), seeds=(0, 1, 2),
+                     daemons=("central", "bernoulli:0.5"), max_steps=500)
+    des = SweepSpec(name="pinned-des", kind="des", algorithm="dijkstra",
+                    n_values=(4,), seeds=(-1, 3), loss_rates=(0.0, 0.25),
+                    delay_scales=(1.5,), duplication_rates=(0.1,),
+                    gap_duration=50.0)
+    assert conv.grid_hash() == "41f3ad6744cb3e3a"
+    assert des.grid_hash() == "319390a62a3280f3"
+    assert SweepSpec.from_json(conv.to_json()).grid_hash() == conv.grid_hash()

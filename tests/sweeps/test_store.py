@@ -1,4 +1,5 @@
-"""SweepStore: durable checkpoints, reconcile, truncated tails, guards."""
+"""SweepStore: durable checkpoints, reconcile, truncated tails, guards,
+the line format and the index's commit budget."""
 
 import json
 import os
@@ -6,7 +7,8 @@ import os
 import pytest
 
 from repro.observability.store import RunStore
-from repro.sweeps.spec import SweepSpec
+from repro.sweeps import run_sweep
+from repro.sweeps.spec import CellSpec, SweepSpec
 from repro.sweeps.store import SweepStore, sweep_dir
 
 
@@ -117,3 +119,100 @@ def test_finish_accumulates_wall_and_status(tmp_path):
         assert row["status"] == "completed"
         assert row["wall_seconds"] == pytest.approx(4.0)
         assert row["completed"] == 3
+
+
+def test_recorded_line_is_the_records_sorted_json(tmp_path):
+    """Each line is ``json.dumps(record, sort_keys=True)`` byte for byte,
+    and the index row holds the same ``params`` and ``result`` text."""
+    base = str(tmp_path)
+    cells = [
+        CellSpec(index=0, key='n=5/"quoted"\\back\tslash/\u00e9\u2603',
+                 params={"n": 5, "seed": -7, 'we"ird\n': "\u00fc\x01"},
+                 seed=-7),
+        CellSpec(index=1, key="n=5/seed=3", params={"n": 5, "seed": 3},
+                 seed=3),
+    ]
+    results = [
+        {"steps": 12, "converged": True, "budget": 2100,
+         "zero_time": 0.1 + 0.2, "note": "\u00e9\"x\"", "nested": [1.5e-07]},
+        {"stabilized_at": None, "min_tokens": 1, "events": -3},
+    ]
+    walls = [4.2e-05, 1234.56789012]
+    with RunStore(":memory:") as rs:
+        with SweepStore.create(_spec(), base, rs) as store:
+            records = [store.record(c, r, "per-cell", w)
+                       for c, r, w in zip(cells, results, walls)]
+        path = os.path.join(sweep_dir(base, "s"), "cells.jsonl")
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        assert lines == [json.dumps(rec, sort_keys=True) for rec in records]
+        assert '"wall_seconds": 4.2e-05}' in lines[0]
+        rows = rs.sweep_cells_for(rs.get_sweep("s")["id"])
+        texts = rs._conn.execute("SELECT params, result FROM sweep_cells "
+                                 "ORDER BY cell_index").fetchall()
+    assert [r["cell_key"] for r in rows] == [c.key for c in cells]
+    assert [r["seed"] for r in rows] == [-7, 3]
+    assert [r["wall_seconds"] for r in rows] == [4.2e-05, 1234.56789]
+    assert texts == [(json.dumps(c.params, sort_keys=True),
+                      json.dumps(res, sort_keys=True))
+                     for c, res in zip(cells, results)]
+
+
+class _CountingConnection:
+    """A sqlite connection that counts its commits."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.commits = 0
+
+    def commit(self):
+        self.commits += 1
+        self._conn.commit()
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def _commits(tmp_path, spec):
+    rs = RunStore(str(tmp_path / "store.sqlite"))
+    counter = _CountingConnection(rs._conn)
+    rs._conn = counter
+    try:
+        summary = run_sweep(spec, base_dir=str(tmp_path), run_store=rs)
+    finally:
+        rs.close()
+    rows = RunStore(str(tmp_path / "store.sqlite"))
+    try:
+        indexed = rows.sweep_cell_indexes(rows.get_sweep(spec.name)["id"])
+    finally:
+        rows.close()
+    assert indexed == list(range(spec.total_cells()))
+    return summary, counter.commits
+
+
+def test_one_kernel_group_commits_its_rows_once(tmp_path):
+    # Open (the sweep row), the group's 256 rows, finish (the sweep row).
+    spec = SweepSpec(name="g", n_values=(5,), seeds=tuple(range(256)))
+    summary, commits = _commits(tmp_path, spec)
+    assert summary["mode"] == "batched" and summary["ran"] == 256
+    assert commits <= 3
+
+
+def test_per_cell_rows_commit_with_the_finish(tmp_path):
+    spec = SweepSpec(name="d", kind="des", n_values=(4,),
+                     seeds=tuple(range(8)), max_time=4000.0,
+                     gap_duration=10.0)
+    summary, commits = _commits(tmp_path, spec)
+    assert summary["mode"] == "per-cell" and summary["ran"] == 8
+    assert commits <= 2
+
+
+def test_close_commits_rows_recorded_without_finish(tmp_path):
+    path = str(tmp_path / "store.sqlite")
+    with RunStore(path) as rs:
+        store = SweepStore.create(_spec(), str(tmp_path), rs)
+        store.record(store.spec.cells()[2], {"steps": 1}, "batched", 0.0)
+        store.close()
+        sweep_id = store.sweep_id
+        with RunStore(path) as reader:
+            assert reader.sweep_cell_indexes(sweep_id) == [2]
