@@ -1,10 +1,9 @@
 """Declarative chaos campaigns over live rings.
 
-The chaos lab is the typed, declarative layer above
-:mod:`repro.runtime.chaos`'s imperative scripts:
+The chaos lab runs plans written in :mod:`repro.runtime.chaos`'s fault
+vocabulary (the :class:`FaultType` taxonomy and :class:`FaultConfig`,
+compiled down to ``ChaosOp``\\ s; re-exported here):
 
-* :mod:`repro.chaoslab.faults` — the :class:`FaultType` taxonomy and
-  :class:`FaultConfig`, compiled down to ``ChaosOp``\\ s;
 * :mod:`repro.chaoslab.observe` — :class:`ObservationPoint`\\ s sampling
   the paper's predicates at epoch boundaries;
 * :mod:`repro.chaoslab.experiment` — one fault plan against one live
@@ -34,12 +33,6 @@ from repro.chaoslab.experiment import (
     execute_experiment,
     run_experiment,
 )
-from repro.chaoslab.faults import (
-    FaultConfig,
-    FaultType,
-    WINDOW_TYPES,
-    parse_fault_flag,
-)
 from repro.chaoslab.observe import (
     EntryConditionPoint,
     Observation,
@@ -54,6 +47,12 @@ from repro.chaoslab.observe import (
 )
 from repro.chaoslab.scheduler import ExperimentScheduler
 from repro.chaoslab.testing import resilience_test
+from repro.runtime.chaos import (
+    WINDOW_TYPES,
+    FaultConfig,
+    FaultType,
+    parse_fault_flag,
+)
 
 __all__ = [
     "CampaignSpec",

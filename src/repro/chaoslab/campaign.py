@@ -23,6 +23,7 @@ allowance.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time as _time
 from dataclasses import dataclass, field
@@ -33,11 +34,11 @@ from repro.chaoslab.experiment import (
     ExperimentResult,
     ExperimentStatus,
 )
-from repro.chaoslab.faults import FaultConfig
 from repro.chaoslab.observe import ObservationPoint
 from repro.chaoslab.scheduler import ExperimentScheduler, OnProgress
 from repro.observability.slo import merge_epochs, quantile
 from repro.observability.store import RunStore
+from repro.runtime.chaos import FaultConfig
 
 
 def _utcnow() -> str:
@@ -80,6 +81,9 @@ class CampaignSpec:
             raise ValueError("campaign needs at least one fault")
         if not self.seeds:
             raise ValueError("campaign needs at least one seed")
+        if not math.isfinite(self.settle):
+            # The director would sleep through it forever.
+            raise ValueError(f"settle must be finite, got {self.settle}")
         if not 0.0 <= self.error_budget <= 1.0:
             raise ValueError(
                 f"error_budget must be in [0, 1], got {self.error_budget}"

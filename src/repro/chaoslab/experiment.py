@@ -1,13 +1,16 @@
 """Chaos experiments: one declarative fault plan run against one live ring.
 
 A :class:`ChaosExperiment` bundles the ring recipe (algorithm, ``n``,
-``K``, transport, wire, seed, timer interval) with a tuple of
-:class:`~repro.chaoslab.faults.FaultConfig`\\ s and a restabilization
-budget.  :meth:`ChaosExperiment.compile` lowers the faults to one
-:class:`~repro.runtime.chaos.ChaosScript`; :func:`run_experiment` plays
-it against a live :class:`~repro.runtime.supervisor.RingSupervisor`
-while an :class:`~repro.chaoslab.observe.ObservationHarness` samples the
-paper's predicates at every epoch boundary.
+``K``, transport, wire, seed, timer interval, initial configuration) with
+a tuple of :class:`~repro.runtime.chaos.FaultConfig`\\ s and a
+restabilization budget.  :meth:`ChaosExperiment.compile` lowers the
+faults to one :class:`~repro.runtime.chaos.ChaosScript`;
+:func:`run_experiment` plays it against a live
+:class:`~repro.runtime.supervisor.RingSupervisor` while an
+:class:`~repro.chaoslab.observe.ObservationHarness` samples the paper's
+predicates at every epoch boundary.  ``repro live chaos`` runs its named
+presets through the same executor, as one-experiment plans with the
+abort path off.
 
 Lifecycle: ``pending -> running -> completed | aborted``.  The executor
 races the chaos director against the harness's fatal-breach event — the
@@ -24,11 +27,10 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.chaoslab.faults import FaultConfig
 from repro.chaoslab.observe import Observation, ObservationHarness, ObservationPoint
-from repro.runtime.chaos import ChaosScript, WINDOW_KINDS
+from repro.runtime.chaos import WINDOW_KINDS, ChaosScript, FaultConfig
 from repro.runtime.harness import build_algorithm
 from repro.runtime.supervisor import RingSupervisor
 
@@ -55,6 +57,9 @@ class ChaosExperiment:
     transport: str = "loopback"
     wire: str = "json"
     timer_interval: float = 0.05
+    #: ``"legitimate"``, ``"random"`` or explicit local states (see
+    #: :class:`~repro.runtime.supervisor.RingSupervisor`).
+    initial: Union[str, List[Any]] = "legitimate"
     #: Re-stabilization budget in seconds (the RestabilizeBudgetPoint's
     #: threshold; overruns are non-fatal breaches).
     budget: float = 10.0
@@ -76,20 +81,8 @@ class ChaosExperiment:
 
     def compile(self) -> ChaosScript:
         """Lower every fault and merge into one replayable script."""
-        ops: List[Any] = []
-        for fault in self.faults:
-            ops.extend(fault.compile(self.n, self.seed))
-        return ChaosScript(
-            name=self.name,
-            ops=tuple(sorted(ops, key=lambda op: op.at)),
-            settle=self.settle,
-        )
-
-    @property
-    def needs_chaos_transport(self) -> bool:
-        """Whether any fault opens a transport window."""
-        return any(
-            op.kind in WINDOW_KINDS for op in self.compile().ops
+        return ChaosScript.from_faults(
+            self.name, self.faults, self.n, self.settle
         )
 
     def to_json(self) -> dict:
@@ -104,6 +97,7 @@ class ChaosExperiment:
             "transport": self.transport,
             "wire": self.wire,
             "timer_interval": self.timer_interval,
+            "initial": self.initial,
             "budget": self.budget,
             "settle": self.settle,
             "stabilize_timeout": self.stabilize_timeout,
@@ -122,7 +116,7 @@ class ChaosExperiment:
         )
         kwargs: Dict[str, Any] = {"name": blob["name"], "faults": faults}
         for key in ("algorithm", "n", "K", "seed", "transport", "wire",
-                    "timer_interval", "budget", "settle",
+                    "timer_interval", "initial", "budget", "settle",
                     "stabilize_timeout", "extra_duration",
                     "abort_on_breach", "status"):
             if key in blob:
@@ -209,7 +203,7 @@ async def execute_experiment(
         transport=experiment.transport,
         chaos=any(op.kind in WINDOW_KINDS for op in script.ops),
         wire=experiment.wire,
-        initial="legitimate",
+        initial=experiment.initial,
         seed=experiment.seed,
         timer_interval=experiment.timer_interval,
     )

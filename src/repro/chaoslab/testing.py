@@ -17,8 +17,8 @@ keyword argument, assert on it::
 The decorator strips ``outcome`` from the wrapper's signature so pytest
 does not try to resolve it as a fixture; every other parameter passes
 through untouched (fixtures still work).  Fault specs are permissive:
-:class:`~repro.chaoslab.faults.FaultConfig` instances,
-:class:`~repro.chaoslab.faults.FaultType` members (default onset /
+:class:`~repro.runtime.chaos.FaultConfig` instances,
+:class:`~repro.runtime.chaos.FaultType` members (default onset /
 duration / severity), or CLI-style ``"type[:severity[:duration]]"``
 strings.
 """
@@ -30,8 +30,8 @@ import inspect
 from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
 
 from repro.chaoslab.experiment import ChaosExperiment, run_experiment
-from repro.chaoslab.faults import FaultConfig, FaultType, parse_fault_flag
 from repro.chaoslab.observe import ObservationPoint
+from repro.runtime.chaos import FaultConfig, FaultType, parse_fault_flag
 
 FaultSpec = Union[FaultConfig, FaultType, str]
 
@@ -72,8 +72,8 @@ def resilience_test(
     experiment_kwargs:
         Everything else :class:`ChaosExperiment` accepts — ``algorithm``,
         ``n``, ``K``, ``seed``, ``transport``, ``wire``,
-        ``timer_interval``, ``budget``, ``settle``, ``stabilize_timeout``,
-        ``extra_duration``, ``abort_on_breach``.
+        ``timer_interval``, ``initial``, ``budget``, ``settle``,
+        ``stabilize_timeout``, ``extra_duration``, ``abort_on_breach``.
     """
     fault_configs = _coerce_faults(faults)
 

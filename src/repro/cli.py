@@ -1283,9 +1283,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "chaos", help="run a scripted fault campaign against a live ring"
     )
     _live_common_args(pl_chaos)
-    from repro.runtime.chaos import SCRIPTS as _LIVE_SCRIPTS
+    from repro.runtime.chaos import PRESETS
 
-    pl_chaos.add_argument("--script", choices=sorted(_LIVE_SCRIPTS),
+    pl_chaos.add_argument("--script", choices=sorted(PRESETS),
                           default="loss_burst")
     pl_chaos.set_defaults(fn=_cmd_live_chaos, n=8, transport="udp",
                           duration=0.0)
@@ -1335,7 +1335,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     pfl_run.add_argument("--duration", type=float, default=2.0,
                          metavar="SECONDS",
                          help="steady-state run time after stabilization")
-    pfl_run.add_argument("--script", choices=sorted(_LIVE_SCRIPTS),
+    pfl_run.add_argument("--script", choices=sorted(PRESETS),
                          default=None,
                          help="play this chaos script against every ring")
     pfl_run.add_argument("--load-rate", type=float, default=0.0,
@@ -1382,7 +1382,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        default="loopback")
     p_top.add_argument("--timer-interval", type=float, default=0.1,
                        metavar="SECONDS")
-    p_top.add_argument("--script", choices=sorted(_LIVE_SCRIPTS),
+    p_top.add_argument("--script", choices=sorted(PRESETS),
                        default=None,
                        help="play this chaos script against every ring")
     p_top.add_argument("--duration", type=float, default=10.0,

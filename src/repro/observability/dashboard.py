@@ -230,9 +230,7 @@ async def run_top_fleet(
             await supervisor.boot()
             if spec.script is not None:
                 chaos_tasks.append(asyncio.ensure_future(
-                    supervisor.run_chaos(
-                        build_script(spec.script, spec.n, spec.seed)
-                    )
+                    supervisor.run_chaos(build_script(spec.script, spec.n))
                 ))
         loop = asyncio.get_running_loop()
         deadline = loop.time() + duration if duration > 0 else None

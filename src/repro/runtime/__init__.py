@@ -27,7 +27,7 @@ on the CLI, or
 """
 
 from repro.runtime.chaos import (
-    SCRIPTS,
+    PRESETS,
     ChaosDirector,
     ChaosOp,
     ChaosScript,
@@ -70,7 +70,7 @@ from repro.runtime.wire import (
 )
 
 __all__ = [
-    "SCRIPTS",
+    "PRESETS",
     "ChaosDirector",
     "ChaosOp",
     "ChaosScript",

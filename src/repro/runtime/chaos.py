@@ -1,33 +1,113 @@
-"""Scripted chaos for live rings: timed fault windows over a ChaosTransport.
+"""Live faults: one typed vocabulary, its lowering, and the player.
 
-A :class:`ChaosScript` is a sorted list of :class:`ChaosOp`\\ s, each
-opening a fault window (``loss``, ``delay``, ``duplicate``, ``reorder``,
-``partition``) for ``duration`` seconds or firing an instantaneous fault
-(``crash``, ``wedge``, ``corrupt-state``, ``corrupt-cache`` — the same
-faults :mod:`repro.faults.injection` injects into the DES models, here
-executed against live nodes with values pre-drawn from the script's seeded
-RNG so runs replay).  The :class:`ChaosDirector` executes a script against
-a running :class:`~repro.runtime.supervisor.RingSupervisor`, notifying the
-health monitor at every disturbance boundary so "time to re-stabilize"
-is measured from the instant the last fault stops biting.
+A :class:`FaultConfig` names *what* should go wrong — one member of the
+:class:`FaultType` taxonomy, an onset time, a window duration and a 0..1
+``severity`` dial — and :meth:`FaultConfig.compile` lowers it for an
+n-ring onto :class:`ChaosOp`\\ s:
 
-Named scripts live in :data:`SCRIPTS`; ``repro live chaos --script NAME``
-looks them up.  Each factory takes the ring size and a seed, so the same
-name scales to any ``n``.
+========================  ====================================================
+fault type                lowered to
+========================  ====================================================
+``loss``                  ``loss`` window (Bernoulli p = severity)
+``delay``                 ``delay`` window (latency range scaled by severity)
+``duplication``           ``duplicate`` window (p = severity)
+``reorder``               ``reorder`` window (p = severity)
+``partition``             ``partition`` window (ring cut; severity >= 0.5
+                          bisects, below cuts a single edge)
+``node-crash``            ``crash`` point fault (watchdog restart)
+``wedge``                 ``wedge`` point fault (silent hang; watchdog must
+                          detect the missing heartbeat)
+``cache-corruption``      ``corrupt-state`` / ``corrupt-cache`` point-fault
+                          volley (the paper's section-5 transient faults)
+========================  ====================================================
+
+Per-type ``params`` (``edges``, ``node``, ``targets``, ``low``/``high``...)
+override the derived values; a key the lowering does not read is refused.
+
+A :class:`ChaosScript` is a sorted list of ops: a window op opens a fault
+on the :class:`~repro.runtime.transport.ChaosTransport` for ``duration``
+seconds, a point op fires once against the supervisor (the same faults
+:mod:`repro.faults.injection` injects into the DES models; corrupted
+values come from the supervisor's seeded fault RNG, so runs replay).  The
+:class:`ChaosDirector` plays a script against a running
+:class:`~repro.runtime.supervisor.RingSupervisor`, notifying the health
+monitor at every disturbance boundary so "time to re-stabilize" is
+measured from the instant the last fault stops biting.
+
+The named presets live in :data:`PRESETS`, each a tuple of fault configs
+plus a settle time; :func:`build_script` compiles one for any ``n`` and
+``repro live chaos --script NAME`` plays it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from enum import Enum
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from repro.runtime.transport import ChaosTransport
 
-#: Fault kinds that open a transport window for ``duration`` seconds.
-WINDOW_KINDS = ("loss", "delay", "duplicate", "reorder", "partition")
-#: Instantaneous fault kinds executed against the supervisor.
-POINT_KINDS = ("crash", "wedge", "corrupt-state", "corrupt-cache")
+
+class FaultType(str, Enum):
+    """The fault taxonomy (see the table above)."""
+
+    LOSS = "loss"
+    DELAY = "delay"
+    DUPLICATION = "duplication"
+    REORDER = "reorder"
+    PARTITION = "partition"
+    NODE_CRASH = "node-crash"
+    WEDGE = "wedge"
+    CACHE_CORRUPTION = "cache-corruption"
+
+    @classmethod
+    def parse(cls, value: "FaultType | str") -> "FaultType":
+        """Accept enum members, values, or member names (CLI input)."""
+        if isinstance(value, cls):
+            return value
+        try:
+            return cls(value)
+        except ValueError:
+            pass
+        try:
+            return cls[str(value).upper().replace("-", "_")]
+        except KeyError:
+            raise ValueError(
+                f"unknown fault type {value!r}; available: "
+                f"{', '.join(sorted(m.value for m in cls))}"
+            ) from None
+
+
+#: Per fault type: the ChaosOp kinds its lowering emits, whether they open
+#: a transport window (else they fire once), and the ``params`` keys the
+#: lowering reads.
+_TAXONOMY: Dict[FaultType, Tuple[Tuple[str, ...], bool, Tuple[str, ...]]] = {
+    FaultType.LOSS: (("loss",), True, ("p",)),
+    FaultType.DELAY: (("delay",), True, ("low", "high")),
+    FaultType.DUPLICATION: (("duplicate",), True, ("p",)),
+    FaultType.REORDER: (("reorder",), True, ("p", "jitter")),
+    FaultType.PARTITION: (("partition",), True, ("edges",)),
+    FaultType.NODE_CRASH: (("crash",), False, ("node",)),
+    FaultType.WEDGE: (("wedge",), False, ("node",)),
+    FaultType.CACHE_CORRUPTION: (
+        ("corrupt-state", "corrupt-cache"), False, ("targets", "spacing"),
+    ),
+}
+#: Fault types that open a transport window (need ``duration > 0``).
+WINDOW_TYPES = frozenset(
+    t for t, (_, window, _) in _TAXONOMY.items() if window
+)
+#: Op kinds that open a transport window for ``duration`` seconds.
+WINDOW_KINDS = tuple(
+    kind for kinds, window, _ in _TAXONOMY.values() if window for kind in kinds
+)
+#: Instantaneous op kinds executed against the supervisor.
+POINT_KINDS = tuple(
+    kind for kinds, window, _ in _TAXONOMY.values() if not window
+    for kind in kinds
+)
 
 
 @dataclass(frozen=True)
@@ -61,6 +141,14 @@ class ChaosScript:
     #: demonstrate re-stabilization before the run is judged.
     settle: float = 3.0
 
+    @classmethod
+    def from_faults(
+        cls, name: str, faults: Iterable[FaultConfig], n: int, settle: float
+    ) -> "ChaosScript":
+        """Lower ``faults`` for an ``n``-ring and merge them by onset."""
+        ops = [op for fault in faults for op in fault.compile(n)]
+        return cls(name, tuple(sorted(ops, key=lambda op: op.at)), settle)
+
     @property
     def last_disturbance(self) -> float:
         """When the final fault stops biting (window end / point time)."""
@@ -82,7 +170,6 @@ class ChaosDirector:
     def __init__(self, script: ChaosScript, supervisor) -> None:
         self.script = script
         self.supervisor = supervisor
-        self.applied: List[ChaosOp] = []
 
     async def run(self) -> None:
         """Play the script to completion (relative to the run clock)."""
@@ -92,7 +179,6 @@ class ChaosDirector:
             if delay > 0:
                 await asyncio.sleep(delay)
             self._apply(op)
-            self.applied.append(op)
         remaining = self.script.last_disturbance - sup.clock()
         if remaining > 0:
             await asyncio.sleep(remaining)
@@ -178,23 +264,7 @@ class ChaosDirector:
             )
 
 
-# -- named scripts -----------------------------------------------------------
-
-def loss_burst(n: int, seed: int = 0) -> ChaosScript:
-    """Two heavy Bernoulli-loss windows across the whole ring.
-
-    The canonical Theorem 4 stressor: messages vanish uniformly at random,
-    caches go stale, the timers must repair them — twice, with a calm gap
-    in between to show re-stabilization is repeatable.
-    """
-    return ChaosScript(
-        name="loss_burst",
-        ops=(
-            ChaosOp(at=0.6, kind="loss", duration=1.0, params={"p": 0.6}),
-            ChaosOp(at=2.4, kind="loss", duration=0.8, params={"p": 0.4}),
-        ),
-    )
-
+# -- the fault vocabulary ----------------------------------------------------
 
 def ring_cut_edges(n: int, bisect: bool = True) -> List[Tuple[int, int]]:
     """Directed ring edges to cut: ``(0, 1)`` plus the opposite edge.
@@ -213,93 +283,232 @@ def ring_cut_edges(n: int, bisect: bool = True) -> List[Tuple[int, int]]:
     return edges
 
 
-def partition(n: int, seed: int = 0) -> ChaosScript:
-    """Cut two opposite ring edges (a true bisection for even ``n``)."""
-    return ChaosScript(
-        name="partition",
-        ops=(
-            ChaosOp(at=0.6, kind="partition", duration=1.2,
-                    params={"edges": ring_cut_edges(n)}),
-        ),
-    )
+@dataclass(frozen=True)
+class FaultConfig:
+    """One declarative fault: ``fault_type`` at ``at`` for ``duration``.
 
-
-def dup_reorder(n: int, seed: int = 0) -> ChaosScript:
-    """Duplication plus reordering jitter — the unsupportive-channel mix."""
-    return ChaosScript(
-        name="dup_reorder",
-        ops=(
-            ChaosOp(at=0.5, kind="duplicate", duration=1.2, params={"p": 0.4}),
-            ChaosOp(at=0.9, kind="reorder", duration=1.0,
-                    params={"p": 0.35, "jitter": 0.04}),
-        ),
-    )
-
-
-def crash_restart(n: int, seed: int = 0) -> ChaosScript:
-    """Kill one node mid-run; the watchdog must restart and re-integrate it."""
-    return ChaosScript(
-        name="crash_restart",
-        ops=(ChaosOp(at=0.8, kind="crash", params={"node": n // 2}),),
-        settle=4.0,
-    )
-
-
-def cache_scramble(n: int, seed: int = 0) -> ChaosScript:
-    """Transient state + cache corruption (the paper's section-5 faults).
-
-    Values are left ``None`` in the ops; the supervisor draws them from
-    its seeded fault RNG at apply time, which keeps the script shape
-    independent of the algorithm's state domain.  The corrupted cache
-    entry is the predecessor's, which every ring kind caches (a
-    unidirectional ring has no successor entry).
+    Parameters
+    ----------
+    fault_type:
+        A :class:`FaultType` (or its string value — CLI / JSON specs).
+    at:
+        Onset in seconds after boot-stabilization.
+    duration:
+        Window length for transport faults (ignored by point faults).
+    severity:
+        0..1 intensity dial; the per-type lowering derives probabilities
+        and latency ranges from it (see :meth:`compile`).
+    params:
+        Per-type overrides (``edges``, ``node``, ``targets``, ``low``,
+        ``high``, ``jitter``, ``spacing``); a node index wraps mod ``n``.
     """
-    mid = n // 2
-    return ChaosScript(
-        name="cache_scramble",
-        ops=(
-            ChaosOp(at=0.5, kind="corrupt-state", params={"node": 1 % n}),
-            ChaosOp(at=0.9, kind="corrupt-cache",
-                    params={"node": mid, "neighbor": (mid - 1) % n}),
-            ChaosOp(at=1.3, kind="corrupt-state", params={"node": n - 1}),
-        ),
-    )
+
+    fault_type: FaultType
+    at: float = 0.5
+    duration: float = 0.8
+    severity: float = 0.5
+    params: Dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        fault_type = FaultType.parse(self.fault_type)
+        object.__setattr__(self, "fault_type", fault_type)
+        # An infinite onset or window would leave the director asleep.
+        for name in ("at", "duration"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}"
+                )
+        if not 0.0 <= self.severity <= 1.0:
+            raise ValueError(
+                f"severity must be in [0, 1], got {self.severity}"
+            )
+        if fault_type in WINDOW_TYPES and self.duration <= 0:
+            raise ValueError(
+                f"{fault_type.value} needs a positive duration"
+            )
+        reads = _TAXONOMY[fault_type][2]
+        unknown = sorted(set(self.params) - set(reads))
+        if unknown:
+            raise ValueError(
+                f"{fault_type.value} reads params {list(reads)}, "
+                f"not {unknown}"
+            )
+
+    # -- identity ------------------------------------------------------------
+    @property
+    def slug(self) -> str:
+        """Short grid-cell label (``loss-0.6``, ``partition``)."""
+        base = self.fault_type.value
+        if self.fault_type in WINDOW_TYPES and self.fault_type is not \
+                FaultType.PARTITION:
+            return f"{base}-{self.severity:g}"
+        return base
+
+    # -- lowering ------------------------------------------------------------
+    def compile(self, n: int) -> Tuple[ChaosOp, ...]:
+        """Lower this fault onto :class:`ChaosOp` primitives for an n-ring.
+
+        Deterministic in ``(self, n)`` — grids replay.
+        """
+        p = self.params
+        ft = self.fault_type
+        kind = _TAXONOMY[ft][0][0]
+        if ft in (FaultType.LOSS, FaultType.DUPLICATION):
+            return (ChaosOp(self.at, kind, self.duration,
+                            {"p": float(p.get("p", self.severity))}),)
+        if ft is FaultType.DELAY:
+            low = float(p.get("low", 0.02))
+            high = float(p.get("high", low + 0.18 * max(self.severity, 0.1)))
+            return (ChaosOp(self.at, kind, self.duration,
+                            {"low": low, "high": high}),)
+        if ft is FaultType.REORDER:
+            return (ChaosOp(self.at, kind, self.duration,
+                            {"p": float(p.get("p", self.severity)),
+                             "jitter": float(p.get("jitter", 0.05))}),)
+        if ft is FaultType.PARTITION:
+            edges = p.get("edges")
+            if edges is None:
+                edges = ring_cut_edges(n, bisect=self.severity >= 0.5)
+            edges = [tuple(e) for e in edges]
+            for src, dst in edges:
+                if not (0 <= src < n and 0 <= dst < n):
+                    raise ValueError(
+                        f"partition edge ({src}, {dst}) outside the "
+                        f"{n}-ring"
+                    )
+            return (ChaosOp(self.at, kind, self.duration,
+                            {"edges": edges}),)
+        if ft in (FaultType.NODE_CRASH, FaultType.WEDGE):
+            return (ChaosOp(self.at, kind,
+                            params={"node": int(p.get("node", n // 2)) % n}),)
+        # cache-corruption: a volley of transient memory faults.  The
+        # default targets are the state of node 1, the predecessor cache
+        # entry of the mid-ring node (every ring kind caches its
+        # predecessor; a unidirectional ring has no successor entry) and
+        # the state of node n-1, spaced ``spacing`` seconds apart.
+        targets = p.get("targets")
+        if targets is None:
+            mid = n // 2
+            targets = [
+                {"node": 1 % n},
+                {"node": mid, "neighbor": (mid - 1) % n},
+                {"node": (n - 1) % n},
+            ]
+        spacing = float(p.get("spacing", 0.4))
+        ops: List[ChaosOp] = []
+        for k, target in enumerate(targets):
+            node = int(target["node"]) % n
+            when = self.at + k * spacing
+            if "neighbor" in target:
+                ops.append(ChaosOp(when, "corrupt-cache", params={
+                    "node": node, "neighbor": int(target["neighbor"]) % n,
+                }))
+            else:
+                ops.append(ChaosOp(when, "corrupt-state",
+                                   params={"node": node}))
+        return tuple(ops)
+
+    # -- (de)serialization ---------------------------------------------------
+    def to_json(self) -> dict:
+        """JSON-able form (campaign specs, cross-process payloads)."""
+        return {
+            "type": self.fault_type.value,
+            "at": self.at,
+            "duration": self.duration,
+            "severity": self.severity,
+            "params": dict(self.params),
+        }
+
+    @classmethod
+    def from_json(cls, blob: dict) -> "FaultConfig":
+        """Inverse of :meth:`to_json`; tolerant of sparse spec files."""
+        if "type" not in blob and "fault_type" not in blob:
+            raise ValueError(f"fault spec needs a 'type' key: {blob!r}")
+        kwargs: Dict[str, Any] = {
+            "fault_type": FaultType.parse(
+                blob.get("type", blob.get("fault_type"))
+            ),
+        }
+        for key in ("at", "duration", "severity"):
+            if key in blob:
+                kwargs[key] = float(blob[key])
+        if blob.get("params"):
+            kwargs["params"] = dict(blob["params"])
+        return cls(**kwargs)
 
 
-def storm(n: int, seed: int = 0) -> ChaosScript:
-    """Everything at once: loss + delay + a partition + a crash."""
-    return ChaosScript(
-        name="storm",
-        ops=(
-            ChaosOp(at=0.4, kind="loss", duration=1.4, params={"p": 0.35}),
-            ChaosOp(at=0.7, kind="delay", duration=1.2,
+def parse_fault_flag(spec: str) -> FaultConfig:
+    """Parse a CLI ``--fault`` flag: ``type[:severity[:duration]]``.
+
+    Empty segments keep the defaults (``partition::0.4`` sets only the
+    duration).
+    """
+    parts = spec.split(":")
+    kwargs: Dict[str, Any] = {"fault_type": FaultType.parse(parts[0])}
+    if len(parts) > 1 and parts[1]:
+        kwargs["severity"] = float(parts[1])
+    if len(parts) > 2 and parts[2]:
+        kwargs["duration"] = float(parts[2])
+    if len(parts) > 3:
+        raise ValueError(
+            f"--fault takes type[:severity[:duration]], got {spec!r}"
+        )
+    return FaultConfig(**kwargs)
+
+
+# -- named presets -----------------------------------------------------------
+
+#: ``name -> (faults, settle)``: the named chaos scripts, as fault plans
+#: plus the calm run-on (seconds) after the last fault stops biting.
+PRESETS: Dict[str, Tuple[Tuple[FaultConfig, ...], float]] = {
+    # The canonical Theorem 4 stressor: messages vanish uniformly at
+    # random, caches go stale, the timers must repair them — twice, with
+    # a calm gap in between to show re-stabilization is repeatable.
+    "loss_burst": ((
+        FaultConfig(FaultType.LOSS, at=0.6, duration=1.0, severity=0.6),
+        FaultConfig(FaultType.LOSS, at=2.4, duration=0.8, severity=0.4),
+    ), 3.0),
+    # Cut two opposite ring edges (a true bisection for even n).
+    "partition": ((
+        FaultConfig(FaultType.PARTITION, at=0.6, duration=1.2),
+    ), 3.0),
+    # Duplication plus reordering jitter: the unsupportive-channel mix.
+    "dup_reorder": ((
+        FaultConfig(FaultType.DUPLICATION, at=0.5, duration=1.2,
+                    severity=0.4),
+        FaultConfig(FaultType.REORDER, at=0.9, duration=1.0, severity=0.35,
+                    params={"jitter": 0.04}),
+    ), 3.0),
+    # Kill the mid-ring node; the watchdog must restart and re-integrate it.
+    "crash_restart": ((FaultConfig(FaultType.NODE_CRASH, at=0.8),), 4.0),
+    # Transient state + cache corruption (the paper's section-5 faults).
+    "cache_scramble": ((
+        FaultConfig(FaultType.CACHE_CORRUPTION, at=0.5),
+    ), 3.0),
+    # Everything at once: loss + delay + a one-edge cut + a crash of node
+    # n-1.
+    "storm": ((
+        FaultConfig(FaultType.LOSS, at=0.4, duration=1.4, severity=0.35),
+        FaultConfig(FaultType.DELAY, at=0.7, duration=1.2,
                     params={"low": 0.02, "high": 0.08}),
-            ChaosOp(at=1.0, kind="partition", duration=0.8,
-                    params={"edges": ring_cut_edges(n, bisect=False)}),
-            ChaosOp(at=1.5, kind="crash", params={"node": n - 1}),
-        ),
-        settle=4.0,
-    )
-
-
-#: ``name -> factory(n, seed)`` for the CLI and tests.
-SCRIPTS: Dict[str, Callable[..., ChaosScript]] = {
-    "loss_burst": loss_burst,
-    "partition": partition,
-    "dup_reorder": dup_reorder,
-    "crash_restart": crash_restart,
-    "cache_scramble": cache_scramble,
-    "storm": storm,
+        FaultConfig(FaultType.PARTITION, at=1.0, duration=0.8, severity=0.0),
+        FaultConfig(FaultType.NODE_CRASH, at=1.5, params={"node": -1}),
+    ), 4.0),
 }
 
 
-def build_script(name: str, n: int, seed: int = 0) -> ChaosScript:
-    """Look up and instantiate a named script for an ``n``-ring."""
+def preset(name: str) -> Tuple[Tuple[FaultConfig, ...], float]:
+    """The named preset's ``(faults, settle)``."""
     try:
-        factory = SCRIPTS[name]
+        return PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown chaos script {name!r}; available: "
-            f"{', '.join(sorted(SCRIPTS))}"
+            f"{', '.join(sorted(PRESETS))}"
         ) from None
-    return factory(n, seed)
+
+
+def build_script(name: str, n: int) -> ChaosScript:
+    """Compile the named preset for an ``n``-ring."""
+    faults, settle = preset(name)
+    return ChaosScript.from_faults(name, faults, n, settle)

@@ -203,7 +203,7 @@ class FleetSupervisor:
             sup = self.supervisors[spec.name]
             if spec.script is not None:
                 tasks.append(asyncio.ensure_future(
-                    sup.run_chaos(build_script(spec.script, spec.n, spec.seed))
+                    sup.run_chaos(build_script(spec.script, spec.n))
                 ))
             gen = self.loadgens.get(spec.name)
             if gen is not None:

@@ -5,9 +5,10 @@ handlers, plain pytest functions) need no event-loop plumbing:
 
 * :func:`live_run` — boot a ring, require stabilization within a deadline,
   run for a duration, drain, return the report;
-* :func:`live_chaos` — boot, stabilize, execute a named chaos script,
-  require *re*-stabilization after its last disturbance, drain, return
-  the report (including ``health.time_to_restabilize``).
+* :func:`live_chaos` — play a named chaos preset as one
+  :class:`~repro.chaoslab.experiment.ChaosExperiment`: boot, stabilize,
+  inject, require *re*-stabilization after the last disturbance, drain,
+  return the report (including ``health.time_to_restabilize``).
 
 Both build the algorithm from its name the same way the conformance CLI
 does, and both leave manifest writing to the caller — the report dict is
@@ -19,7 +20,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, List, Optional, Union
 
-from repro.runtime.chaos import ChaosScript, build_script
+from repro.runtime.chaos import preset
 from repro.runtime.supervisor import RingSupervisor
 
 
@@ -68,7 +69,6 @@ async def _run(
     supervisor: RingSupervisor,
     duration: float,
     stabilize_timeout: float,
-    script: Optional[ChaosScript],
 ) -> dict:
     try:
         await supervisor.boot()
@@ -78,48 +78,11 @@ async def _run(
             # Not an exceptional control path for a CLI: the report (and
             # the exit code derived from it) carries stabilized=False.
             pass
-        if script is not None:
-            await supervisor.run_chaos(script)
-            if not supervisor.health.stabilized:
-                # The settle window wasn't enough; give the ring the same
-                # budget it had at boot before declaring failure.
-                try:
-                    await supervisor.wait_stabilized(stabilize_timeout)
-                except TimeoutError:
-                    pass  # reported as stabilized=False in the report
         if duration > 0:
             await supervisor.run_for(duration)
     finally:
         await supervisor.shutdown()
-    report = supervisor.report()
-    if script is not None:
-        report["script"] = script.to_json()
-    return report
-
-
-def _make_supervisor(
-    algorithm: str,
-    n: int,
-    K: Optional[int],
-    transport: str,
-    chaos: bool,
-    seed: int,
-    timer_interval: float,
-    initial: Union[str, List[Any]],
-    wire: str = "json",
-    **kwargs: Any,
-) -> RingSupervisor:
-    alg = build_algorithm(algorithm, n, K)
-    return RingSupervisor(
-        alg,
-        transport=transport,
-        chaos=chaos,
-        wire=wire,
-        initial=initial,
-        seed=seed,
-        timer_interval=timer_interval,
-        **kwargs,
-    )
+    return supervisor.report()
 
 
 def live_run(
@@ -139,17 +102,22 @@ def live_run(
     """Boot a live ring, stabilize, run, drain; returns the run report."""
     if use_uvloop:
         install_uvloop(True)
-    supervisor = _make_supervisor(
-        algorithm, n, K, transport, False, seed, timer_interval, initial,
-        wire=wire, **kwargs,
+    supervisor = RingSupervisor(
+        build_algorithm(algorithm, n, K),
+        transport=transport,
+        wire=wire,
+        initial=initial,
+        seed=seed,
+        timer_interval=timer_interval,
+        **kwargs,
     )
-    report = asyncio.run(_run(supervisor, duration, stabilize_timeout, None))
+    report = asyncio.run(_run(supervisor, duration, stabilize_timeout))
     report["loop"] = loop_name()
     return report
 
 
 def live_chaos(
-    script: Union[str, ChaosScript] = "loss_burst",
+    script: str = "loss_burst",
     algorithm: str = "ssrmin",
     n: int = 8,
     K: Optional[int] = None,
@@ -161,27 +129,40 @@ def live_chaos(
     extra_duration: float = 0.0,
     wire: str = "json",
     use_uvloop: bool = False,
-    **kwargs: Any,
 ) -> dict:
-    """Run a chaos script against a live ring; returns the run report.
+    """Play the named chaos preset against a live ring; returns the report.
 
+    The preset runs as a one-experiment chaos-lab plan with abort off (a
+    custom plan is a :class:`~repro.chaoslab.experiment.ChaosExperiment`).
     The report's ``health`` block answers the operational questions:
     ``stabilized`` (did the final epoch re-stabilize),
     ``time_to_restabilize`` (seconds from the last disturbance), and
     ``guarantee_violations`` (own-view token-census breaches observed
     after stabilization).
     """
+    # Imported here: the chaos lab builds its rings through this module.
+    from repro.chaoslab.experiment import ChaosExperiment, run_experiment
+
+    faults, settle = preset(script)
     if use_uvloop:
         install_uvloop(True)
-    supervisor = _make_supervisor(
-        algorithm, n, K, transport, True, seed, timer_interval, initial,
-        wire=wire, **kwargs,
+    experiment = ChaosExperiment(
+        name=script,
+        faults=faults,
+        algorithm=algorithm,
+        n=n,
+        K=K,
+        seed=seed,
+        transport=transport,
+        wire=wire,
+        timer_interval=timer_interval,
+        initial=initial,
+        settle=settle,
+        stabilize_timeout=stabilize_timeout,
+        extra_duration=extra_duration,
+        abort_on_breach=False,
     )
-    if isinstance(script, str):
-        script = build_script(script, n, seed)
-    report = asyncio.run(
-        _run(supervisor, extra_duration, stabilize_timeout, script)
-    )
+    report = run_experiment(experiment).report
     report["loop"] = loop_name()
     return report
 

@@ -320,7 +320,7 @@ def run_sweep(
             spec, base_dir, run_store, resume=resume, fresh=fresh,
         )
         with store:
-            done_before = store.completed()
+            done_before = store.resumed
             cells = spec.cells()
             total = len(cells)
             missing = [c for c in cells if c.index not in done_before]

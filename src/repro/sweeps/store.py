@@ -76,6 +76,9 @@ class SweepStore:
         self._cells_path = os.path.join(self.directory, "cells.jsonl")
         self._spec_path = os.path.join(self.directory, "spec.json")
         self._append_fh = None
+        #: The reconciled :meth:`completed` map :meth:`create` read at
+        #: open: the cells a resume keeps (empty after ``fresh``).
+        self.resumed: Dict[int, Dict[str, Any]] = {}
         #: ``sweep_cells`` rows recorded but not yet written to sqlite.
         self._rows: List[Tuple[Any, ...]] = []
         os.makedirs(self.directory, exist_ok=True)
@@ -121,14 +124,15 @@ class SweepStore:
                 f"(spec {path}); pick a new name or resume/--fresh it"
             )
         store = cls(spec, base_dir, run_store)
-        has_cells = bool(store.completed())
-        if has_cells and not (resume or fresh):
+        store.resumed = store.completed()
+        if store.resumed and not (resume or fresh):
             raise ValueError(
                 f"sweep {spec.name!r} has checkpointed cells; pass "
                 f"resume=True to continue it or fresh=True to restart"
             )
         if fresh:
             store._discard_cells()
+            store.resumed = {}
         return store
 
     @classmethod

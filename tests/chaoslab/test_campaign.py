@@ -6,6 +6,7 @@ import sqlite3
 
 import pytest
 
+from repro import cli
 from repro.chaoslab import (
     CampaignSpec,
     FaultConfig,
@@ -53,6 +54,9 @@ class TestCampaignSpec:
             _spec(seeds=())
         with pytest.raises(ValueError, match="error_budget"):
             _spec(error_budget=1.5)
+        for settle in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="settle must be finite"):
+                _spec(settle=settle)
 
     def test_json_roundtrip(self):
         spec = _spec(error_budget=0.25, seeds=(1, 9))
@@ -69,6 +73,14 @@ class TestCampaignSpec:
         path = tmp_path / "campaign.yaml"
         path.write_text(yaml.safe_dump(_spec().to_json()))
         assert load_campaign_spec(str(path)) == _spec()
+
+    def test_load_spec_rejects_non_finite_onset(self, tmp_path):
+        """Python's json reads ``NaN``; the fault refuses it."""
+        path = tmp_path / "nan.json"
+        path.write_text('{"name": "x", "faults": [{"type": "loss", '
+                        '"at": NaN}]}')
+        with pytest.raises(ValueError, match="at must be finite"):
+            load_campaign_spec(str(path))
 
     def test_load_spec_rejects_non_mapping(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -215,3 +227,27 @@ def test_acceptance_six_cell_grid_with_store_quantiles():
     for stats in report["classes"].values():
         assert stats["cells"] >= 2
         assert 0.0 <= stats["p50"] <= stats["p99"] <= stats["max"] < 15.0
+
+
+@pytest.mark.parametrize("args", [
+    ["--fault", "loss:0.5:inf"],
+    ["--fault", "loss:0.5:nan"],
+    ["--fault", "node-crash", "--settle", "inf"],
+    ["--spec", "nan.json"],
+])
+def test_cli_rejects_non_finite_timing_before_booting(
+        args, tmp_path, monkeypatch, capsys):
+    """Exit 2 through the CLI's spec-error path, before any ring boots
+    (the director would otherwise sleep forever)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.json").write_text(
+        '{"name": "x", "faults": [{"type": "wedge", "at": NaN}]}')
+
+    def no_boot(*a, **k):
+        raise AssertionError("a ring was booted")
+
+    monkeypatch.setattr("repro.chaoslab.run_campaign", no_boot)
+    rc = cli.main(["chaos", "campaign", "run", *args,
+                   "--seeds", "0", "--n", "4", "--no-store"])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err

@@ -1,18 +1,23 @@
 """FaultType/FaultConfig: parsing, validation, and lowering to ChaosOps."""
 
+import json
+import math
+import os
+
 import pytest
 
-from repro.chaoslab.faults import (
-    FaultConfig,
-    FaultType,
-    WINDOW_TYPES,
-    parse_fault_flag,
-)
 from repro.runtime.chaos import (
-    ChaosScript,
     POINT_KINDS,
     WINDOW_KINDS,
-    build_script,
+    WINDOW_TYPES,
+    ChaosScript,
+    FaultConfig,
+    FaultType,
+    parse_fault_flag,
+)
+
+GOLDEN_PRESETS = os.path.join(
+    os.path.dirname(__file__), "..", "corpus", "golden_chaos_presets.json"
 )
 
 
@@ -50,6 +55,25 @@ class TestFaultConfig:
         # Point faults don't care.
         FaultConfig(FaultType.NODE_CRASH, duration=0.0)
 
+    @pytest.mark.parametrize("field", ["at", "duration"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_timing_rejected(self, field, value):
+        """An infinite onset or window would put the director to sleep
+        for good."""
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FaultConfig(FaultType.LOSS, **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FaultConfig.from_json({"type": "node-crash", field: value})
+
+    def test_params_the_lowering_never_reads_rejected(self):
+        """``rate`` is not loss's knob (``p`` is): refuse it rather than
+        run at the default probability."""
+        with pytest.raises(ValueError, match="rate"):
+            FaultConfig(FaultType.LOSS, params={"rate": 0.6})
+        with pytest.raises(ValueError, match="edge"):
+            FaultConfig(FaultType.PARTITION, params={"edge": [(0, 1)]})
+        FaultConfig(FaultType.LOSS, params={"p": 0.6})
+
     def test_loss_lowering_uses_severity_as_probability(self):
         (op,) = FaultConfig(
             FaultType.LOSS, at=0.2, duration=0.4, severity=0.7
@@ -81,18 +105,18 @@ class TestFaultConfig:
             assert 0 <= op.params["node"] < 4
 
     def test_cache_corruption_defaults_match_named_script(self):
-        """The default volley IS the cache_scramble script, op for op."""
+        """The default volley IS the cache_scramble script, op for op
+        (as frozen before the named scripts became presets)."""
         ops = FaultConfig(FaultType.CACHE_CORRUPTION, at=0.5).compile(n=6)
-        golden = build_script("cache_scramble", 6).ops
-        assert [op.to_json() for op in ops] == [
-            op.to_json() for op in golden
-        ]
+        with open(GOLDEN_PRESETS) as fh:
+            golden = json.load(fh)["cache_scramble"]["6"]["ops"]
+        assert [op.to_json() for op in ops] == golden
 
     def test_compile_is_deterministic(self):
         for fault_type in FaultType:
             config = FaultConfig(fault_type)
-            first = [op.to_json() for op in config.compile(n=5, seed=3)]
-            again = [op.to_json() for op in config.compile(n=5, seed=3)]
+            first = [op.to_json() for op in config.compile(n=5)]
+            again = [op.to_json() for op in config.compile(n=5)]
             assert first == again
 
     def test_json_roundtrip(self):
@@ -135,6 +159,11 @@ class TestParseFaultFlag:
     def test_too_many_segments_rejected(self):
         with pytest.raises(ValueError, match="--fault takes"):
             parse_fault_flag("loss:0.5:1.0:extra")
+
+    @pytest.mark.parametrize("flag", ["loss:0.5:inf", "loss:0.5:nan"])
+    def test_non_finite_duration_rejected(self, flag):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            parse_fault_flag(flag)
 
     def test_slug_distinguishes_severity_for_window_types(self):
         assert parse_fault_flag("loss:0.8").slug == "loss-0.8"

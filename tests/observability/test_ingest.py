@@ -2,20 +2,23 @@
 
 import os
 
+from repro.chaoslab import (
+    ChaosExperiment,
+    FaultConfig,
+    FaultType,
+    run_experiment,
+)
 from repro.experiments.parallel import run_experiments_parallel
 from repro.experiments.registry import run_experiment_instrumented
 from repro.observability.ingest import StoreSubscriber
 from repro.observability.store import RunStore
-from repro.runtime.chaos import ChaosOp, ChaosScript
-from repro.runtime.harness import live_chaos, live_run
+from repro.runtime.harness import live_run
 from repro.telemetry import read_manifest, telemetry_session
 from repro.telemetry.events import Event
 
 STABILIZE_TIMEOUT = 20.0
 
-MINI_LOSS = ChaosScript(name="mini_loss", ops=(
-    ChaosOp(at=0.2, kind="loss", duration=0.4, params={"rate": 0.6}),
-))
+MINI_LOSS = FaultConfig(FaultType.LOSS, at=0.2, duration=0.4, severity=0.6)
 
 
 def test_live_chaos_run_lands_in_store_without_step_detail():
@@ -26,11 +29,11 @@ def test_live_chaos_run_lands_in_store_without_step_detail():
         # The run-store subscriber must NOT flip the engines into per-step
         # event publishing — that's the whole overhead story.
         assert not tel.step_detail
-        live_chaos(
-            script=MINI_LOSS, algorithm="ssrmin", n=4, seed=7,
-            transport="loopback", timer_interval=0.05,
-            stabilize_timeout=STABILIZE_TIMEOUT,
-        )
+        run_experiment(ChaosExperiment(
+            name="mini_loss", faults=(MINI_LOSS,), algorithm="ssrmin", n=4,
+            seed=7, timer_interval=0.05, settle=3.0,
+            stabilize_timeout=STABILIZE_TIMEOUT, abort_on_breach=False,
+        ))
         subscriber.close()
     store.flush()
     run = store.get_run("t-1")

@@ -1,11 +1,12 @@
-"""Property tests (hypothesis) for the chaos script builders.
+"""Property tests (hypothesis) for the named chaos presets.
 
-The named scripts in :data:`repro.runtime.chaos.SCRIPTS` are factories
-``(n, seed) -> ChaosScript``; these properties pin what every factory
-must guarantee for *any* ring size, including the degenerate n=1 and n=2
-rings the hand-written tests never touched:
+The presets in :data:`repro.runtime.chaos.PRESETS` are fault plans that
+:func:`~repro.runtime.chaos.build_script` compiles for a ring size; these
+properties pin what every preset must guarantee for *any* ring size,
+including the degenerate n=1 and n=2 rings the hand-written tests never
+touched:
 
-* determinism — the same ``(name, n, seed)`` always builds the same ops
+* determinism — the same ``(name, n)`` always builds the same ops
   (replayability is the whole point of scripted chaos);
 * partitions heal — every cut edge stays inside the ring and every
   partition window closes (finite duration), so a partition can never
@@ -17,32 +18,32 @@ rings the hand-written tests never touched:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaoslab.faults import FaultConfig, FaultType
 from repro.runtime.chaos import (
     POINT_KINDS,
-    SCRIPTS,
+    PRESETS,
     WINDOW_KINDS,
+    FaultConfig,
+    FaultType,
     build_script,
     ring_cut_edges,
 )
 
-script_names = st.sampled_from(sorted(SCRIPTS))
+script_names = st.sampled_from(sorted(PRESETS))
 ring_sizes = st.integers(min_value=1, max_value=64)
-seeds = st.integers(min_value=0, max_value=2 ** 20)
 
 
-@given(name=script_names, n=ring_sizes, seed=seeds)
+@given(name=script_names, n=ring_sizes)
 @settings(max_examples=60)
-def test_builders_are_deterministic_under_fixed_seed(name, n, seed):
-    first = build_script(name, n, seed)
-    again = build_script(name, n, seed)
+def test_presets_compile_deterministically(name, n):
+    first = build_script(name, n)
+    again = build_script(name, n)
     assert first.to_json() == again.to_json()
 
 
-@given(name=script_names, n=ring_sizes, seed=seeds)
+@given(name=script_names, n=ring_sizes)
 @settings(max_examples=60)
-def test_ops_are_well_formed_for_any_ring_size(name, n, seed):
-    script = build_script(name, n, seed)
+def test_ops_are_well_formed_for_any_ring_size(name, n):
+    script = build_script(name, n)
     assert script.ops, f"{name} built an empty script"
     for op in script.ops:
         assert op.kind in WINDOW_KINDS + POINT_KINDS
@@ -56,12 +57,12 @@ def test_ops_are_well_formed_for_any_ring_size(name, n, seed):
     assert script.duration >= script.last_disturbance >= 0.0
 
 
-@given(n=ring_sizes, seed=seeds)
+@given(n=ring_sizes)
 @settings(max_examples=60)
-def test_partitions_always_heal(n, seed):
+def test_partitions_always_heal(n):
     """Every partition window has in-ring edges and a finite close."""
-    for name in sorted(SCRIPTS):
-        script = build_script(name, n, seed)
+    for name in sorted(PRESETS):
+        script = build_script(name, n)
         for op in script.ops:
             if op.kind != "partition":
                 continue
@@ -89,8 +90,8 @@ def test_degenerate_rings_build_every_script():
     """n=1 and n=2 were the historical out-of-range crashes: node ids
     must stay in range and partition edges must stay in the ring."""
     for n in (1, 2):
-        for name in sorted(SCRIPTS):
-            script = build_script(name, n, seed=0)
+        for name in sorted(PRESETS):
+            script = build_script(name, n)
             for op in script.ops:
                 for key in ("node", "neighbor"):
                     if key in op.params:
@@ -103,21 +104,20 @@ def test_degenerate_rings_build_every_script():
 @given(
     fault_type=st.sampled_from(sorted(FaultType, key=lambda f: f.value)),
     n=ring_sizes,
-    seed=seeds,
     severity=st.floats(min_value=0.0, max_value=1.0,
                        allow_nan=False, allow_infinity=False),
 )
 @settings(max_examples=80)
 def test_fault_config_lowering_replays_for_any_ring(
-    fault_type, n, seed, severity,
+    fault_type, n, severity,
 ):
-    """The declarative layer inherits the builders' guarantees: typed
-    faults compile deterministically to in-taxonomy, in-ring ops."""
+    """Every typed fault, not only the presets' settings, compiles
+    deterministically to in-taxonomy, in-ring ops."""
     config = FaultConfig(fault_type, severity=severity)
-    first = [op.to_json() for op in config.compile(n, seed)]
-    again = [op.to_json() for op in config.compile(n, seed)]
+    first = [op.to_json() for op in config.compile(n)]
+    again = [op.to_json() for op in config.compile(n)]
     assert first == again
-    for op in config.compile(n, seed):
+    for op in config.compile(n):
         assert op.kind in WINDOW_KINDS + POINT_KINDS
         for key in ("node", "neighbor"):
             if key in op.params:

@@ -10,13 +10,13 @@ equal the snapshot's.
 The default runs cover the three paths that change a node outside a
 receive or a timer: corrupt-state and corrupt-cache (``cache_scramble``,
 on a bidirectional and a unidirectional ring) and a watchdog restart
-(``crash_restart``).  The ``slow`` runs cover every other named script,
+(``crash_restart``).  The ``slow`` runs cover every other chaos preset,
 for both algorithms, from legitimate and from random starts.
 """
 
 import pytest
 
-from repro.runtime import SCRIPTS, live_chaos
+from repro.runtime import PRESETS, live_chaos
 from repro.runtime import supervisor as supervisor_module
 from repro.runtime.health import HealthMonitor
 
@@ -30,7 +30,7 @@ DEFAULT_RUNS = [
 SLOW_RUNS = [
     (algorithm, script, initial)
     for algorithm in ("ssrmin", "dijkstra")
-    for script in sorted(SCRIPTS)
+    for script in sorted(PRESETS)
     for initial in ("legitimate", "random")
     if (algorithm, script, initial) not in DEFAULT_RUNS
 ]

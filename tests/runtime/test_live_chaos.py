@@ -119,7 +119,7 @@ def test_build_script_rejects_unknown_name():
 
 
 def test_script_shape_is_replayable():
-    script = build_script("loss_burst", 8, seed=7)
+    script = build_script("loss_burst", 8)
     blob = script.to_json()
     assert blob["name"] == "loss_burst"
     assert all(op["kind"] == "loss" for op in blob["ops"])

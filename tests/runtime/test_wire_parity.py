@@ -19,11 +19,10 @@ import os
 import pytest
 
 from repro.chaoslab import ChaosExperiment, FaultConfig, FaultType, run_experiment
-from repro.runtime import build_script
 
-GOLDEN = os.path.join(
-    os.path.dirname(__file__), "..", "corpus", "golden_fig13_timeline.jsonl"
-)
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+GOLDEN = os.path.join(CORPUS, "golden_fig13_timeline.jsonl")
+GOLDEN_PRESETS = os.path.join(CORPUS, "golden_chaos_presets.json")
 
 
 def _golden_header() -> dict:
@@ -60,7 +59,10 @@ def test_fig13_chaos_verdicts_identical_under_both_wires():
     n, K, seed = header["n"], header["K"], header["seed"]
 
     # The declarative faults that lower to exactly the loss_burst script
-    # the golden scenario pins (two Bernoulli-loss windows).
+    # the golden scenario pins (two Bernoulli-loss windows), as frozen
+    # before the named scripts became presets.
+    with open(GOLDEN_PRESETS) as fh:
+        loss_burst = json.load(fh)["loss_burst"][str(n)]["ops"]
     faults = (
         FaultConfig(FaultType.LOSS, at=0.6, duration=1.0, severity=0.6),
         FaultConfig(FaultType.LOSS, at=2.4, duration=0.8, severity=0.4),
@@ -80,9 +82,7 @@ def test_fig13_chaos_verdicts_identical_under_both_wires():
             extra_duration=0.3,
             wire=wire,
         )
-        assert [op.to_json() for op in experiment.compile().ops] == [
-            op.to_json() for op in build_script("loss_burst", n, seed).ops
-        ]
+        assert [op.to_json() for op in experiment.compile().ops] == loss_burst
         return run_experiment(experiment).report
 
     via_json = run("json")

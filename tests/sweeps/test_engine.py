@@ -15,7 +15,7 @@ from repro.sweeps import (
     run_cells,
     run_sweep,
 )
-from repro.sweeps.store import sweep_dir
+from repro.sweeps.store import SweepStore, sweep_dir
 
 IDENTITY = ("index", "key", "params", "seed", "result")
 
@@ -82,6 +82,34 @@ def test_resume_runs_only_missing_cells(tmp_path):
     assert [r["index"] for r in resumed] == list(range(8))
     for before, after in zip(records, resumed):
         assert _identity(before) == _identity(after)
+
+
+def test_open_reads_checkpoints_once(tmp_path, monkeypatch):
+    """``SweepStore.create`` reconciles the checkpoints and the engine
+    reuses that map; after ``fresh``'s discard the map is empty."""
+    base = str(tmp_path)
+    spec = SweepSpec(name="once", n_values=(5,), seeds=tuple(range(8)))
+    first = run_sweep(spec, base_dir=base)
+    records = [_identity(r) for r in _cells(base, "once")]
+    reads = []
+    completed = SweepStore.completed
+
+    def counted(self):
+        reads.append(self.spec.name)
+        return completed(self)
+
+    monkeypatch.setattr(SweepStore, "completed", counted)
+    again = run_sweep(spec, base_dir=base, resume=True)
+    assert reads == ["once"]
+    assert (again["skipped"], again["ran"], again["status"]) == (
+        8, 0, "completed")
+    for key in ("name", "kind", "cells", "completed", "mode", "directory"):
+        assert again[key] == first[key]
+
+    fresh = run_sweep(spec, base_dir=base, fresh=True)
+    assert reads == ["once", "once"]
+    assert (fresh["skipped"], fresh["ran"]) == (0, 8)
+    assert [_identity(r) for r in _cells(base, "once")] == records
 
 
 def test_des_sweep_runs_per_cell(tmp_path):
