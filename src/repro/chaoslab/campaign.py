@@ -84,6 +84,17 @@ class CampaignSpec:
         if not math.isfinite(self.settle):
             # The director would sleep through it forever.
             raise ValueError(f"settle must be finite, got {self.settle}")
+        if not (math.isfinite(self.timer_interval) and self.timer_interval > 0):
+            # inf parks every node's refresh timer for good.
+            raise ValueError("timer_interval must be finite and positive, "
+                             f"got {self.timer_interval}")
+        if not math.isfinite(self.stabilize_timeout):
+            raise ValueError("stabilize_timeout must be finite, "
+                             f"got {self.stabilize_timeout}")
+        if not (math.isfinite(self.extra_duration)
+                and self.extra_duration >= 0):
+            raise ValueError("extra_duration must be finite and "
+                             f"non-negative, got {self.extra_duration}")
         if not 0.0 <= self.error_budget <= 1.0:
             raise ValueError(
                 f"error_budget must be in [0, 1], got {self.error_budget}"

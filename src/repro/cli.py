@@ -32,6 +32,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -888,6 +889,15 @@ def _parse_float_list(text: str) -> tuple:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
+def _timer_interval(text: str) -> float:
+    """``--timer-interval`` of a live ring: finite, positive seconds."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text}")
+    return value
+
+
 def _sweep_spec_from_args(args: argparse.Namespace):
     import json
 
@@ -1254,7 +1264,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="stay on the stdlib event loop even when "
                             "uvloop is installed")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--timer-interval", type=float, default=0.1,
+        p.add_argument("--timer-interval", type=_timer_interval, default=0.1,
                        metavar="SECONDS",
                        help="CST retransmission timer period (default 0.1)")
         p.add_argument("--initial", choices=["legitimate", "random"],
@@ -1344,8 +1354,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "(0 = none)")
     pfl_run.add_argument("--seed", type=int, default=0,
                          help="base seed (ring i uses seed+i)")
-    pfl_run.add_argument("--timer-interval", type=float, default=0.1,
-                         metavar="SECONDS")
+    pfl_run.add_argument("--timer-interval", type=_timer_interval,
+                         default=0.1, metavar="SECONDS")
     pfl_run.add_argument("--stabilize-timeout", type=float, default=10.0,
                          metavar="SECONDS")
     pfl_run.add_argument("--no-uvloop", action="store_true",
@@ -1380,8 +1390,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="base seed (ring i uses seed+i)")
     p_top.add_argument("--transport", choices=["loopback", "udp"],
                        default="loopback")
-    p_top.add_argument("--timer-interval", type=float, default=0.1,
-                       metavar="SECONDS")
+    p_top.add_argument("--timer-interval", type=_timer_interval,
+                       default=0.1, metavar="SECONDS")
     p_top.add_argument("--script", choices=sorted(PRESETS),
                        default=None,
                        help="play this chaos script against every ring")

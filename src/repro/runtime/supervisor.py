@@ -27,6 +27,7 @@ or coordinated recovery.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 from typing import Any, Dict, List, Optional, Union
 
@@ -90,6 +91,8 @@ class RingSupervisor:
         chaos transport RNG.
     timer_interval, timer_jitter, dwell, min_gap:
         Real-time cadences (seconds); see :class:`RingNodeServer`.
+        ``timer_interval`` must be finite and positive (else
+        :class:`ValueError`).
     watchdog_interval, wedge_timeout:
         Liveness scan period and the no-activity threshold that counts as
         wedged.  ``wedge_timeout`` defaults to ``6 * timer_interval``.
@@ -115,6 +118,9 @@ class RingSupervisor:
         backoff_cap: float = 2.0,
         chatty: bool = False,
     ):
+        if not (math.isfinite(timer_interval) and timer_interval > 0):
+            raise ValueError("timer_interval must be finite and positive, "
+                             f"got {timer_interval}")
         self.algorithm = algorithm
         self.n = algorithm.n
         self.seed = seed

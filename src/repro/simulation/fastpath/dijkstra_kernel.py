@@ -190,3 +190,28 @@ class DijkstraKernel(FastKernel):
             key, d = divmod(key, K)
             out += ((d + c) % K) * w
         return out
+
+    # -- key arrays ----------------------------------------------------------
+    def key_moves(self, keys: Any) -> Tuple[Any, Any, Any]:
+        """D1/D2 and the closed form of
+        :func:`~repro.algorithms.dijkstra.is_dijkstra_legitimate` on keys."""
+        import numpy as np
+
+        from repro.kernels.batched import _primary, batched_commands
+
+        X = self._digits(keys)
+        enabled = _primary(X)
+        weights = np.asarray(self.key_weights, dtype=np.int64)
+        deltas = np.where(enabled, batched_commands(X, self.K) - X, 0) * weights
+        # Legitimate: a (possibly empty) prefix at x_{n-1} + 1, the rest
+        # at x_{n-1}.
+        step = np.logical_and.accumulate(X == (X[:, -1:] + 1) % self.K, axis=1)
+        legit = (step | (X == X[:, -1:])).all(axis=1)
+        return legit, enabled, deltas
+
+    def canonical_keys(self, keys: Any) -> Any:
+        import numpy as np
+
+        X = self._digits(keys)
+        shifted = (X - X[:, :1]) % self.K
+        return shifted @ np.asarray(self.key_weights, dtype=np.int64)

@@ -17,8 +17,11 @@ enabledness only at ``i-1``, ``i`` and ``i+1`` — see
 
 Kernels also provide packed-int state keys (collision-free encodings used
 by the explicit-state model checker instead of hashing tuples-of-tuples),
-the x-shift symmetry on those keys (the model checker's Z_K quotient) and
-fast legitimacy predicates with O(1) counter-based rejection.
+the x-shift symmetry on those keys (the model checker's Z_K quotient),
+fast legitimacy predicates with O(1) counter-based rejection, and the
+same semantics over whole key arrays for the checker's graph builder
+(:meth:`FastKernel.key_moves`, :meth:`FastKernel.canonical_keys`; numpy,
+imported on the call, so the scalar path stays numpy-free).
 """
 
 from __future__ import annotations
@@ -181,6 +184,31 @@ class FastKernel(abc.ABC):
         """
         x0 = key * self.K // (self.key_weights[0] * self.key_base)
         return self.shift_key(key, -x0) if x0 else key
+
+    # -- key arrays (the model checker's graph builder) ----------------------
+    @abc.abstractmethod
+    def key_moves(self, keys: Any) -> Tuple[Any, Any, Any]:
+        """Legitimacy, enabledness and command deltas of a key array.
+
+        ``keys`` is a 1-d int64 numpy array of packed keys.  Returns
+        ``(legit, enabled, deltas)``: a bool mask per key, a
+        ``(len(keys), n)`` bool mask of enabled processes, and the int64
+        key delta of each process's command (0 where disabled), so firing
+        a selection moves a key to ``key + deltas[sel].sum()``.  Row by
+        row, this is :meth:`load_key` followed by :meth:`is_legitimate`,
+        :meth:`enabled` and :meth:`update`.
+        """
+
+    @abc.abstractmethod
+    def canonical_keys(self, keys: Any) -> Any:
+        """:meth:`canonical_key` of every key of a 1-d int64 numpy array."""
+
+    def _digits(self, keys: Any) -> Any:
+        """The ``(len(keys), n)`` digit array of a 1-d int64 key array."""
+        import numpy as np
+
+        weights = np.asarray(self.key_weights, dtype=np.int64)
+        return keys[:, None] // weights % self.key_base
 
 
 class PackedView(_SequenceABC):

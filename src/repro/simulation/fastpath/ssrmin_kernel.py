@@ -290,3 +290,40 @@ class SSRminKernel(FastKernel):
             key, d = divmod(key, base)
             out += (((((d >> 2) + c) % K) << 2) | (d & 3)) * w
         return out
+
+    # -- key arrays ----------------------------------------------------------
+    def key_moves(self, keys: Any) -> Tuple[Any, Any, Any]:
+        """The batched kernel's guards, commands and Definition 1 on keys.
+
+        Rules are gathered from this module's ``RULE_TABLE`` as it is at
+        call time, like :meth:`_reindex`.
+        """
+        import numpy as np
+
+        from repro.kernels.batched import (
+            _NEXT_H,
+            _SETS_X,
+            _neighbours,
+            _primary,
+            batched_commands,
+            batched_legitimate,
+        )
+
+        D = self._digits(keys)
+        X, H = D >> 2, D & 3
+        Hp, Hs = _neighbours(H)
+        G = _primary(X).view(np.uint8)
+        rule = np.frombuffer(RULE_TABLE, dtype=np.uint8)[
+            (G << 6) | (Hp << 4) | (H << 2) | Hs]
+        new_x = np.where(_SETS_X[rule], batched_commands(X, self.K), X)
+        new_d = (new_x << 2) | _NEXT_H[(rule << 2) | H]
+        deltas = (new_d - D) * np.asarray(self.key_weights, dtype=np.int64)
+        return batched_legitimate(X, H, self.K), rule != 0, deltas
+
+    def canonical_keys(self, keys: Any) -> Any:
+        import numpy as np
+
+        D = self._digits(keys)
+        X = D >> 2
+        D = (((X - X[:, :1]) % self.K) << 2) | (D & 3)
+        return D @ np.asarray(self.key_weights, dtype=np.int64)

@@ -26,7 +26,8 @@ Two builders number the ids:
   ``R = key_base ** n // K``, and a successor key maps to its id by
   :meth:`~repro.simulation.fastpath.kernel.FastKernel.canonical_key`.
   Values, legitimacy and cycles carry over orbit by orbit, so the graph is
-  K times smaller and every count scales back by exactly K.
+  K times smaller and every count scales back by exactly K.  Its rows are
+  built in numpy array passes, and numpy is imported only then.
 * :class:`EnumeratedGraph` (the naive path, the oracle): ids are
   enumeration indices of ``ts.states()``, then any successor outside that
   space in discovery order; no quotient.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import abc
 from array import array
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: :meth:`StateGraph.valuation` colours: not yet reached, valued (every
 #: legitimate id starts here with value 0), and on the DFS stack.
@@ -154,25 +155,73 @@ class StateGraph(abc.ABC):
         return self._valuation
 
 
+#: Representative keys per array pass of :class:`QuotientGraph`: a pass's
+#: temporaries stay a few MB, small beside the graph it appends to.
+CHUNK = 8192
+
+
 class QuotientGraph(StateGraph):
-    """The Z_K quotient under the x-shift; ids are representative keys."""
+    """The Z_K quotient under the x-shift; ids are representative keys.
+
+    Built in numpy array passes over ``CHUNK`` representatives at a time,
+    with the same rows :meth:`TransitionSystem._succ_keys_from_loaded
+    <repro.verification.transition_system.TransitionSystem._succ_keys_from_loaded>`
+    gives key by key.  :meth:`FastKernel.key_moves
+    <repro.simulation.fastpath.kernel.FastKernel.key_moves>` yields each
+    row's legitimacy, enabled set and per-process key deltas.  Rows are
+    grouped by their enabled set and the members whose delta is 0; every
+    row of a group has the same daemon selections, one 0/1 column each,
+    so its successors are ``key + deltas @ selections``.  Deltas are
+    digits at distinct positions, each smaller than ``key_base``, so two
+    selections reach the same key exactly when they agree on their
+    members with a non-zero delta: keeping the first selection of each
+    such support, in ``nonempty_subsets`` order, is the per-key
+    ``dict.fromkeys`` de-duplication.
+    """
 
     def __init__(self, ts: Any, kernel: Any) -> None:
         super().__init__()
+        import numpy as np
+
         self._kernel = kernel
         self.orbit = kernel.K
         size = kernel.key_weights[0] * kernel.key_base // kernel.K
         self.enumerated = size
-        legit, offsets, targets = self.legit, self.offsets, self.targets
-        canonical = kernel.canonical_key
-        successors = ts._succ_keys_from_loaded
-        for r in range(size):
-            kernel.load_key(r)
-            legit.append(kernel.is_legitimate())
+        n = len(kernel.key_weights)
+        bits = 1 << np.arange(n, dtype=np.int64)
+        selections: Dict[int, Any] = {}
+        for lo in range(0, size, CHUNK):
+            keys = np.arange(lo, min(lo + CHUNK, size), dtype=np.int64)
+            legit, enabled, deltas = kernel.key_moves(keys)
+            zero = enabled & (deltas == 0)
+            group = (enabled @ bits << n) | (zero @ bits)
+            order = np.argsort(group, kind="stable")
+            ordered = group[order]
+            cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+            members = np.split(order, cuts)
+            matrices = []
+            for code in ordered[np.concatenate(([0], cuts))].tolist():
+                if code not in selections:
+                    selections[code] = _selection_matrix(
+                        code, n, ts.max_selection)
+                matrices.append(selections[code])
+            counts = np.empty(len(keys), dtype=np.int64)
+            counts[order] = np.repeat([m.shape[1] for m in matrices],
+                                      [len(rows) for rows in members])
+            ends = np.cumsum(counts)
+            out = np.empty(ends[-1], dtype=np.int64)
+            for rows, matrix in zip(members, matrices):
+                width = matrix.shape[1]
+                if width:
+                    block = deltas[rows] @ matrix
+                    block += keys[rows, None]
+                    out[(ends[rows] - width)[:, None] + np.arange(width)] = block
             # Keys below ``size`` are representatives already.
-            targets.extend([k if k < size else canonical(k)
-                            for k in successors(r)])
-            offsets.append(len(targets))
+            moved = out >= size
+            out[moved] = kernel.canonical_keys(out[moved])
+            self.legit += legit.astype(np.uint8).tobytes()
+            self.offsets.frombytes((ends + len(self.targets)).tobytes())
+            self.targets.frombytes(out.astype(np.int32).tobytes())
 
     def id_of(self, key: int) -> int:
         return self._kernel.canonical_key(key)
@@ -183,6 +232,27 @@ class QuotientGraph(StateGraph):
     def expand(self, ids: Sequence[int]) -> List[int]:
         shift = self._kernel.shift_key
         return sorted(shift(v, c) for v in ids for c in range(self.orbit))
+
+
+def _selection_matrix(group: int, n: int, max_selection: Optional[int]) -> Any:
+    """The daemon selections of one :class:`QuotientGraph` row group.
+
+    ``group`` holds the enabled set in bits ``n .. 2n - 1`` and its
+    zero-delta members in bits ``0 .. n - 1``.  Column ``j`` of the
+    ``(n, s)`` 0/1 matrix is the ``j``-th selection, in
+    ``nonempty_subsets`` order, whose non-zero-delta members no earlier
+    selection has.
+    """
+    import numpy as np
+
+    from repro.verification.transition_system import nonempty_subsets
+
+    enabled = tuple(i for i in range(n) if group >> (n + i) & 1)
+    first: Dict[int, Tuple[int, ...]] = {}
+    for subset in nonempty_subsets(enabled, max_selection):
+        first.setdefault(sum(1 << i for i in subset) & ~group, subset)
+    return np.array([[i in subset for subset in first.values()]
+                     for i in range(n)], dtype=np.int64)
 
 
 class EnumeratedGraph(StateGraph):

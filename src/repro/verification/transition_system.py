@@ -223,8 +223,9 @@ class TransitionSystem:
         (``sum(subset, key)``): subsets of the per-process deltas come in
         the same order as subsets of the enabled set, and a repeated key
         (an enabled command that leaves its state unchanged) is kept once,
-        first occurrence first.  Nothing is memoised, so the state graph's
-        builder can call it once per representative.
+        first occurrence first.  Nothing is memoised.  The state graph's
+        array passes (:class:`~repro.verification.state_graph.QuotientGraph`)
+        build these rows for every representative at once, entry for entry.
         """
         kernel = self._kernel
         enabled = kernel.enabled()

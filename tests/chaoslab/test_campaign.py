@@ -82,6 +82,33 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="at must be finite"):
             load_campaign_spec(str(path))
 
+    @pytest.mark.parametrize("field,value", [
+        ("timer_interval", math.inf),
+        ("timer_interval", math.nan),
+        ("timer_interval", 0.0),
+        ("timer_interval", -0.05),
+        ("stabilize_timeout", math.inf),
+        ("stabilize_timeout", math.nan),
+        ("extra_duration", math.inf),
+        ("extra_duration", math.nan),
+        ("extra_duration", -1.0),
+    ])
+    def test_ring_timing_validated(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            _spec(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("timer_interval", "Infinity"),
+        ("stabilize_timeout", "NaN"),
+        ("extra_duration", "-Infinity"),
+    ])
+    def test_load_spec_rejects_bad_ring_timing(self, tmp_path, field, value):
+        path = tmp_path / "timing.json"
+        path.write_text('{"name": "x", "faults": [{"type": "wedge"}], '
+                        f'"{field}": {value}}}')
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            load_campaign_spec(str(path))
+
     def test_load_spec_rejects_non_mapping(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2, 3]")
@@ -242,6 +269,32 @@ def test_cli_rejects_non_finite_timing_before_booting(
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nan.json").write_text(
         '{"name": "x", "faults": [{"type": "wedge", "at": NaN}]}')
+
+    def no_boot(*a, **k):
+        raise AssertionError("a ring was booted")
+
+    monkeypatch.setattr("repro.chaoslab.run_campaign", no_boot)
+    rc = cli.main(["chaos", "campaign", "run", *args,
+                   "--seeds", "0", "--n", "4", "--no-store"])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--fault", "node-crash", "--timer-interval", "inf"],
+    ["--fault", "node-crash", "--timer-interval", "nan"],
+    ["--fault", "node-crash", "--timer-interval", "0"],
+    ["--spec", "timing.json"],
+])
+def test_cli_rejects_bad_ring_timing_before_booting(
+        args, tmp_path, monkeypatch, capsys):
+    """A timer interval of inf would park every node's refresh timer and
+    hang the campaign; every bad ring timing exits 2 before any ring
+    boots."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "timing.json").write_text(
+        '{"name": "x", "faults": [{"type": "wedge"}], '
+        '"stabilize_timeout": Infinity}')
 
     def no_boot(*a, **k):
         raise AssertionError("a ring was booted")

@@ -56,3 +56,13 @@ def test_live_status_empty_dir_exits_nonzero(tmp_path, capsys):
 def test_live_chaos_rejects_unknown_script():
     with pytest.raises(SystemExit):
         cli.main(["live", "chaos", "--script", "nope", "--no-telemetry"])
+
+
+@pytest.mark.parametrize("command", [["live", "run"], ["live", "chaos"],
+                                     ["fleet", "run"], ["top"]])
+@pytest.mark.parametrize("interval", ["inf", "nan", "0"])
+def test_bad_timer_interval_exits_2_before_booting(command, interval, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*command, "--timer-interval", interval])
+    assert exit_info.value.code == 2
+    assert "must be finite and positive" in capsys.readouterr().err

@@ -98,6 +98,13 @@ def test_loopback_n8_stabilizes_and_circulates():
     assert sum(rules) > 0
 
 
+@pytest.mark.parametrize("interval", [float("inf"), float("nan"), 0.0, -1.0])
+def test_supervisor_rejects_bad_timer_interval(interval):
+    with pytest.raises(ValueError, match="timer_interval must be finite"):
+        RingSupervisor(SSRmin(4, 5), transport="loopback",
+                       timer_interval=interval)
+
+
 def test_kill_node_mid_run_watchdog_restarts_and_restabilizes():
     async def scenario():
         sup = RingSupervisor(

@@ -3,10 +3,17 @@
 The packed-kernel path checks one representative (``x_0 = 0``) per orbit
 of the shift that adds ``c`` mod K to every x; the naive path enumerates
 every configuration.  These tests check the symmetry the quotient rests
-on, and that the quotient's reports, witnesses and cycles are what the
-full enumeration gives.
+on, that the quotient's reports, witnesses and cycles are what the full
+enumeration gives, and that the graph's array passes build, entry for
+entry, the rows the scalar kernel gives key by key.
 """
 
+import os
+import subprocess
+import sys
+from array import array
+
+import numpy as np
 import pytest
 
 from repro.algorithms.dijkstra import DijkstraKState
@@ -21,6 +28,13 @@ from repro.verification.transition_system import TransitionSystem
 
 INSTANCES = (
     [("ssrmin", 3, 4), ("ssrmin", 3, 5)]
+    + [("dijkstra", n, k) for n in (3, 4, 5) for k in (n - 1, n, n + 1)]
+)
+
+
+#: The instances of the repository benchmark's ``exhaustive_check``.
+EXH_INSTANCES = (
+    [("ssrmin", 3, k) for k in (4, 5, 6)]
     + [("dijkstra", n, k) for n in (3, 4, 5) for k in (n - 1, n, n + 1)]
 )
 
@@ -130,3 +144,98 @@ def test_ssrmin_n4_exact_worst_case():
     ts = TransitionSystem(SSRmin(4, 5), "distributed")
     assert worst_case_convergence_steps(ts) == 43
     assert len(worst_case_witness(ts)) == 44
+
+
+def _mutate_rule_table(monkeypatch, index, rule):
+    mutated = bytearray(ssrmin_kernel.RULE_TABLE)
+    assert mutated[index] != rule
+    mutated[index] = rule
+    monkeypatch.setattr(ssrmin_kernel, "RULE_TABLE", bytes(mutated))
+
+
+def _rows_key_by_key(ts, size):
+    """``(legit, offsets, targets)`` from the scalar kernel, one
+    representative at a time."""
+    kernel = ts._kernel
+    legit, offsets, targets = bytearray(), array("q", [0]), array("i")
+    for r in range(size):
+        kernel.load_key(r)
+        legit.append(kernel.is_legitimate())
+        targets.extend(k if k < size else kernel.canonical_key(k)
+                       for k in ts._succ_keys_from_loaded(r))
+        offsets.append(len(targets))
+    return legit, offsets, targets
+
+
+#: R5 (``<rts.tra> <- 00``) on a quiet process with a quiet neighbourhood
+#: and no primary token: enabled, but its command changes nothing, so
+#: selections that differ only in such processes reach the same key.
+QUIET_R5 = (0, 5)
+
+GRAPH_CASES = (
+    [(instance, "distributed", None) for instance in EXH_INSTANCES]
+    + [(("ssrmin", 4, 5), "distributed", None),
+       (("ssrmin", 3, 5), "central", None),
+       (("ssrmin", 3, 4), "distributed", QUIET_R5),
+       (("ssrmin", 3, 4), "central", QUIET_R5)]
+)
+
+
+@pytest.mark.parametrize("instance,daemon,mutation", GRAPH_CASES, ids=str)
+def test_array_build_equals_key_by_key_rows(
+        monkeypatch, instance, daemon, mutation):
+    if mutation is not None:
+        _mutate_rule_table(monkeypatch, *mutation)
+    ts = TransitionSystem(_algorithm(*instance), daemon)
+    graph = ts.graph()
+    legit, offsets, targets = _rows_key_by_key(ts, graph.enumerated)
+    assert graph.legit == legit
+    assert graph.offsets == offsets
+    assert graph.targets == targets
+    if mutation is not None:
+        # The mutation must reach the de-duplication: some id loops on
+        # itself through the zero-delta command.
+        assert any(v in targets[offsets[v]:offsets[v + 1]]
+                   for v in range(graph.enumerated))
+
+
+@pytest.mark.parametrize("instance", [("ssrmin", 3, 4), ("dijkstra", 4, 5)],
+                         ids=str)
+def test_key_arrays_equal_the_scalar_kernel(instance):
+    kernel = _algorithm(*instance).fast_kernel()
+    weights = kernel.key_weights
+    keys = np.arange(weights[0] * kernel.key_base, dtype=np.int64)
+    legit, enabled, deltas = kernel.key_moves(keys)
+    canonical = kernel.canonical_keys(keys)
+    for key in keys.tolist():
+        kernel.load_key(key)
+        assert bool(legit[key]) == kernel.is_legitimate()
+        assert tuple(np.flatnonzero(enabled[key]).tolist()) == kernel.enabled()
+        expect = [0] * len(weights)
+        for i in kernel.enabled():
+            expect[i] = (kernel.digit(kernel.update(i))
+                         - kernel.digit(kernel.native_state(i))) * weights[i]
+        assert deltas[key].tolist() == expect
+        assert int(canonical[key]) == kernel.canonical_key(key)
+
+
+def test_numpy_is_imported_only_to_build_a_graph():
+    """The checker's import path and its transition systems stay
+    numpy-free; the array passes import it when the first graph is
+    built."""
+    code = (
+        "import sys\n"
+        "from repro.core.ssrmin import SSRmin\n"
+        "from repro.verification import TransitionSystem, "
+        "check_self_stabilization\n"
+        "ts = TransitionSystem(SSRmin(3, 4))\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert check_self_stabilization(ts).worst_case_steps == 16\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir,
+                                     os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
