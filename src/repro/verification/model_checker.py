@@ -15,12 +15,16 @@
 Every check reads one memoised
 :class:`~repro.verification.state_graph.StateGraph` per transition system
 (on the packed-kernel path, the Z_K quotient under the x-shift) and its one
-valuation: an explicit-stack depth-first search over illegitimate ids that
-either meets an id already on its stack (an illegitimate cycle) or values
-each id ``1 + max(successor values)``, legitimate successors contributing
-0.  The report, :func:`worst_case_convergence_steps` and
-:func:`worst_case_witness` all read that valuation; what they report is what
-the full enumeration gives — full-space counts, deadlocks and closure
+valuation: numpy level rounds that value each illegitimate id
+``1 + max(successor values)``, legitimate successors contributing 0, or
+stall on ids that reach an illegitimate cycle, which the valuation then
+names by the walk a depth-first search over the illegitimate ids takes.
+Deadlocks and closure leaks are numpy scans of the graph's arrays.  The
+report, :func:`worst_case_convergence_steps` and
+:func:`worst_case_witness` all read that valuation; the witness and the
+reported cycle step from a configuration to the successor at a row
+position, so no walk maps successor keys back to ids.  What they report is
+what the full enumeration gives — full-space counts, deadlocks and closure
 violations expanded to whole orbits, a cycle lifted into a real cycle of
 configurations.
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
+from repro.verification.state_graph import first_outside
 from repro.verification.transition_system import TransitionSystem
 
 
@@ -102,18 +107,22 @@ class StabilizationReport:
 def _report_cycle(ts: TransitionSystem, cycle: List[int]) -> List[Any]:
     """An illegitimate cycle of ids lifted into a cycle of configurations.
 
-    Follows, from the first id's own configuration, the first concrete
-    successor in the next id's orbit, around the cycle of ids until the
-    start configuration recurs (at most K rounds on the quotient, one
-    without it).
+    Follows, from the first id's own configuration, the concrete successor
+    at the row position of the next id (its first occurrence in the row),
+    around the cycle of ids until the start configuration recurs (at most
+    K rounds on the quotient, one without it).  A row lists its id's
+    successors in :meth:`~repro.verification.transition_system.TransitionSystem.successor_keys_for`
+    order for every configuration the id stands for, because the x-shift
+    commutes with successor order.
     """
     graph = ts.graph()
+    offsets, targets = graph.offsets, graph.targets
     start = key = graph.key_of(cycle[0])
     path = [key]
     while True:
-        for nxt in cycle[1:]:
-            key = next(s for s in ts.successor_keys_for(key)
-                       if graph.id_of(s) == nxt)
+        for v, nxt in zip(cycle, cycle[1:]):
+            row = targets[offsets[v]:offsets[v + 1]]
+            key = ts.successor_keys_for(key)[row.index(nxt)]
             path.append(key)
         if key == start:
             return [ts.config_for_key(k) for k in path]
@@ -130,6 +139,13 @@ def _values(ts: TransitionSystem) -> Any:
     return value
 
 
+def _worst(value: Any) -> int:
+    """The largest value (0 for no ids), as a Python int."""
+    import numpy as np
+
+    return int(np.frombuffer(value, dtype=np.int32).max(initial=0))
+
+
 def check_self_stabilization(
     ts: TransitionSystem, compute_worst_case: bool = True
 ) -> StabilizationReport:
@@ -137,19 +153,22 @@ def check_self_stabilization(
 
     Reads the memoised :meth:`~repro.verification.transition_system.TransitionSystem.graph`
     once for deadlocks and closure and (optionally) its valuation for
-    convergence + worst case.  Deadlocks and closure violations are
+    convergence + worst case.  Deadlocks (empty rows) and closure leaks
+    (legitimate rows with an illegitimate target) are found in numpy over
+    the graph's arrays, reading only the legitimate rows for closure, and
     reported for every configuration (whole orbits on the quotient), in
     enumeration order.
     """
+    import numpy as np
+
     graph = ts.graph()
-    legit, offsets, targets = graph.legit, graph.offsets, graph.targets
-    ids = range(graph.enumerated)
-    dead = [v for v in ids if offsets[v] == offsets[v + 1]]
-    leaking = [
-        v for v in ids
-        if legit[v] and not all(
-            legit[t] for t in targets[offsets[v]:offsets[v + 1]])
-    ]
+    legit, offsets, targets = graph.arrays()
+    ids = graph.enumerated
+    dead = np.flatnonzero(offsets[1:ids + 1] == offsets[:ids]).tolist()
+    rows = np.flatnonzero(legit[:ids])
+    stops = offsets[rows + 1]
+    leaking = rows[
+        first_outside(offsets[rows], stops, targets, legit) < stops].tolist()
 
     deadlocks: List[Any] = []
     for key in graph.expand(dead):
@@ -162,7 +181,7 @@ def check_self_stabilization(
         (ts.config_for_key(key), ts.config_for_key(sk))
         for key in graph.expand(leaking)
         for sk in ts.successor_keys_for(key)
-        if not legit[graph.id_of(sk)]
+        if not graph.legit[graph.id_of(sk)]
     ]
 
     worst: Optional[int] = None
@@ -170,7 +189,7 @@ def check_self_stabilization(
     if compute_worst_case:
         value, cycle_ids = graph.valuation()
         if cycle_ids is None:
-            worst = max(value, default=0)
+            worst = _worst(value)
         else:
             cycle = _report_cycle(ts, cycle_ids)
 
@@ -187,7 +206,7 @@ def check_self_stabilization(
 
 def worst_case_convergence_steps(ts: TransitionSystem) -> int:
     """Exact adversarial convergence time; raises if convergence fails."""
-    return max(_values(ts), default=0)
+    return _worst(_values(ts))
 
 
 def worst_case_witness(ts: TransitionSystem) -> List[Any]:
@@ -199,20 +218,27 @@ def worst_case_witness(ts: TransitionSystem) -> List[Any]:
     configuration.  This is the *ground truth* the heuristic
     :class:`~repro.daemons.adversarial.AdversarialDaemon` approximates.
 
-    ``gamma_0`` is the first configuration of maximal value in enumeration
-    order, and each step takes the first value-maximising successor in
+    ``gamma_0`` is the configuration of the first id of maximal value
+    (the first such configuration in enumeration order), and each step
+    takes the first value-maximising successor in
     :meth:`~repro.verification.transition_system.TransitionSystem.successor_keys_for`
-    order; values come from the graph's valuation (raises AssertionError on
-    an illegitimate cycle).
+    order: the successor at the row position of the first maximal target
+    value, since a row lists its successors in that order for every
+    configuration its id stands for.  Values come from the graph's
+    valuation (raises AssertionError on an illegitimate cycle).
     """
+    import numpy as np
+
     graph = ts.graph()
     value = _values(ts)
-    id_of = graph.id_of
-    key = graph.key_of(
-        max(range(graph.enumerated), key=value.__getitem__))
+    offsets, targets = graph.offsets, graph.targets
+    v = int(np.argmax(np.frombuffer(value, dtype=np.int32)[:graph.enumerated]))
+    key = graph.key_of(v)
     path = [key]
-    while not graph.legit[id_of(key)]:
-        key = max(ts.successor_keys_for(key),
-                  key=lambda s: value[id_of(s)])
+    while not graph.legit[v]:
+        row = [value[t] for t in targets[offsets[v]:offsets[v + 1]]]
+        j = row.index(max(row))
+        key = ts.successor_keys_for(key)[j]
+        v = targets[offsets[v] + j]
         path.append(key)
     return [ts.config_for_key(k) for k in path]

@@ -13,7 +13,11 @@ relation in flat arrays:
 <repro.verification.transition_system.TransitionSystem.graph>` builds it
 on the first check and memoises it, so the closure report, the worst case
 and the witness share one enumeration of the space and one
-:meth:`~StateGraph.valuation`.
+:meth:`~StateGraph.valuation`.  The valuation works on the arrays as
+numpy views: level rounds give every id its longest-path height, with
+O(ids) extra memory and no reverse graph, and when the rounds stall a
+walk along first waiting successors names the illegitimate cycle that a
+depth-first search in id order meets first.
 
 Two builders number the ids:
 
@@ -44,9 +48,11 @@ import abc
 from array import array
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-#: :meth:`StateGraph.valuation` colours: not yet reached, valued (every
-#: legitimate id starts here with value 0), and on the DFS stack.
-_NEW, _VALUED, _ACTIVE = 0, 1, 2
+#: Ids per numpy block: :class:`QuotientGraph` builds this many
+#: representatives per array pass, and :meth:`StateGraph.valuation` and
+#: :func:`first_outside` scan this many rows per block, so a block's
+#: temporaries stay a few MB beside the graph.
+CHUNK = 8192
 
 
 class StateGraph(abc.ABC):
@@ -98,66 +104,113 @@ class StateGraph(abc.ABC):
         """Legitimate configurations of ``ts.states()``."""
         return self.legit.count(1, 0, self.enumerated) * self.orbit
 
+    def arrays(self) -> Tuple[Any, Any, Any]:
+        """numpy views of :attr:`legit` (bool), :attr:`offsets` (int64) and
+        :attr:`targets` (int32); nothing is copied."""
+        import numpy as np
+
+        return (np.frombuffer(self.legit, dtype=bool),
+                np.frombuffer(self.offsets, dtype=np.int64),
+                np.frombuffer(self.targets, dtype=np.int32))
+
     def valuation(self) -> Tuple[Optional[array], Optional[List[int]]]:
         """``(value, None)``, or ``(None, cycle)`` if convergence fails.
 
         ``value[v]`` is the exact number of steps to Lambda from ``v`` when
         the daemon maximises it: 0 on legitimate ids, else ``1 + max`` over
         the successors (1 with none).  ``cycle`` is an illegitimate cycle
-        ``[v_0, ..., v_0]`` of ids.  One depth-first search over the
-        illegitimate ids with an explicit stack (no recursion), memoised.
+        ``[v_0, ..., v_0]`` of ids.  Memoised.
+
+        The values are longest-path heights, found in numpy level rounds.
+        Legitimate ids start valued; round ``r`` values ``r`` every waiting
+        (illegitimate, unvalued) id whose successors were all valued
+        before round ``r``, which is exactly ``1 + max`` over them.  Each
+        waiting id keeps a cursor on its first successor not yet valued;
+        a round rescans (:func:`first_outside`) only the rows whose cursor
+        target is now valued, and all of them against the valued mask as
+        it stood when the round began.  Extra memory is O(ids); no reverse
+        graph is built.
+
+        A round that values nothing leaves exactly the ids that reach an
+        illegitimate cycle, each with a successor among them.  The cycle
+        returned is the first one a depth-first search over the
+        illegitimate ids meets, taking roots in id order and successors in
+        row order.  That search finds nothing below a valued id and never
+        backtracks from a waiting one, so it walks from the smallest
+        waiting id along each id's first waiting successor until an id
+        repeats; the walk is all that runs here.
         """
         if self._valuation is not None:
             return self._valuation
-        legit, offsets, targets = self.legit, self.offsets, self.targets
-        size = len(legit)
-        value = array("i", bytes(4 * size))
-        colour = bytearray(legit)
-        for root in range(size):
-            if colour[root]:
-                continue
-            colour[root] = _ACTIVE
-            value[root] = 1
-            stack = [root]
-            cursors = [offsets[root]]
-            while stack:
-                v = stack[-1]
-                i = cursors[-1]
-                end = offsets[v + 1]
-                best = value[v]
-                while i < end:
-                    w = targets[i]
-                    c = colour[w]
-                    if c == _VALUED:
-                        if value[w] >= best:
-                            best = value[w] + 1
-                    elif c == _NEW:
-                        break
-                    else:
-                        self._valuation = (None, stack[stack.index(w):] + [w])
-                        return self._valuation
-                    i += 1
-                else:
-                    value[v] = best
-                    colour[v] = _VALUED
-                    stack.pop()
-                    cursors.pop()
-                    continue
-                # Descend into w; v's cursor stays on w, so v takes w's
-                # value when it resumes.
-                value[v] = best
-                cursors[-1] = i
-                colour[w] = _ACTIVE
-                value[w] = 1
-                stack.append(w)
-                cursors.append(offsets[w])
-        self._valuation = (value, None)
+        import numpy as np
+
+        legit, offsets, targets = self.arrays()
+        value = array("i", bytes(4 * len(legit)))
+        heights = np.frombuffer(value, dtype=np.int32)
+        valued = legit.copy()
+        wait = (~valued).nonzero()[0].astype(np.int32)
+        cursor = offsets[wait]
+        # Round 1 scans every waiting row from its start.
+        scan = np.arange(len(wait))
+        level = 0
+        while len(wait):
+            level += 1
+            finished = np.empty(len(scan), dtype=bool)
+            for lo in range(0, len(scan), CHUNK):
+                block = scan[lo:lo + CHUNK]
+                stops = offsets.take(wait.take(block) + 1)
+                cursor[block] = moved = first_outside(
+                    cursor.take(block), stops, targets, valued)
+                finished[lo:lo + CHUNK] = moved == stops
+            done = wait.take(scan[finished])
+            if not len(done):
+                break
+            # Only now, after every block of the round, do they count as
+            # valued.
+            heights[done] = level
+            valued[done] = True
+            # Over every waiting id, [] and not take: [] casts an int32
+            # index array in small buffers, take copies it whole as intp.
+            keep = ~valued[wait]
+            wait = wait[keep]
+            cursor = cursor[keep]
+            scan = valued[targets.take(cursor)].nonzero()[0]
+        else:
+            self._valuation = (value, None)
+            return self._valuation
+        walk: Dict[int, int] = {}
+        v = int(wait[0])
+        while v not in walk:
+            walk[v] = len(walk)
+            row = targets[offsets[v]:offsets[v + 1]]
+            v = int(row[np.argmin(valued[row])])  # first waiting successor
+        self._valuation = (None, list(walk)[walk[v]:] + [v])
         return self._valuation
 
 
-#: Representative keys per array pass of :class:`QuotientGraph`: a pass's
-#: temporaries stay a few MB, small beside the graph it appends to.
-CHUNK = 8192
+def first_outside(starts: Any, stops: Any, targets: Any, inside: Any) -> Any:
+    """Per row segment ``targets[starts[i]:stops[i]]`` (int64 numpy arrays
+    of positions), the position of its first target ``t`` with
+    ``inside[t]`` false, or ``stops[i]`` when there is none.
+
+    Runs ``CHUNK`` segments at a time, so its temporaries stay
+    O(``CHUNK`` × row width) whatever the graph's size.
+    """
+    import numpy as np
+
+    out = stops.copy()
+    for lo in range(0, len(starts), CHUNK):
+        begin = starts[lo:lo + CHUNK]
+        lengths = stops[lo:lo + CHUNK] - begin
+        ends = lengths.cumsum()
+        heads = ends - lengths
+        shift = begin - heads
+        flat = shift.repeat(lengths)
+        flat += np.arange(len(flat))
+        misses = (~inside.take(targets.take(flat))).nonzero()[0]
+        first = np.concatenate((misses, ends[-1:]))[misses.searchsorted(heads)]
+        out[lo:lo + CHUNK] = shift + np.minimum(first, ends)
+    return out
 
 
 class QuotientGraph(StateGraph):
