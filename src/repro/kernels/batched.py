@@ -18,18 +18,25 @@ cell's trajectory a pure function of its own seed: running a cell alone
 or inside any group produces bit-identical results, the property the
 resumable sweep store leans on.  The step loop works on live lanes only:
 
-* a lane leaves every per-lane array in the step it first satisfies
-  Definition 1 (its step count is written back by its original index);
-* each lane keeps its interior x-boundary count ``nb`` and nonzero
-  handshake count ``nz``, and Definition 1 is evaluated only on lanes
-  with ``nb <= 1`` and ``nz`` in ``{1, 2}``;
+* a lane leaves every per-lane array in the step after it first
+  satisfies Definition 1 (its step count is written back by its original
+  index).  Every legitimate configuration enables exactly one process
+  (Figure 4's inchworm moves one process at a time), so the configuration
+  reached at step ``k`` is checked at the start of step ``k + 1``, and
+  only on lanes with one enabled process: the central step reads each
+  lane's count off its pick, the parallel steps off the rule array they
+  compute anyway.  The lanes left after the budget's last step are
+  checked once more;
 * under the central daemon, which moves one process per lane per step,
   the rule array persists across steps and only the guards next to the
-  moved column, and the counts' terms at it, are recomputed;
+  moved column are recomputed; the window's columns, the bottom flag and
+  the ``G_0`` flags come from per-group tables indexed by that column;
 * the synchronous and Bernoulli daemons move many processes per step and
   recompute every guard of the live lanes, over byte-wide counters
-  whenever ``K < 256``;
-* the per-seed half of every PRNG key is hashed once per run.
+  whenever ``K < 256``; Bernoulli coins are decided on the hashed words
+  in integers (:func:`~repro.kernels.prng.keyed_coins`);
+* the per-seed half of every PRNG key is hashed once per run, and the
+  lanes' row offsets are rebuilt only when lanes retire.
 
 :func:`advance_configurations` runs the same step loop from given
 configurations instead of seeded random ones, with the same keyed draws
@@ -43,7 +50,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.kernels.prng import (
+    coin_bound,
     grid_integers,
+    keyed_coins,
     keyed_uniforms,
     lane_mixes,
     step_keys,
@@ -88,10 +97,11 @@ def _rules(G: np.ndarray, Hp: np.ndarray, H: np.ndarray,
     """Rule codes (uint8, 0 = none) from guard inputs of any shape.
 
     One gather through the shared rule table, indexed
-    ``(G << 6) | (h_pred << 4) | (h_own << 2) | h_succ``.
+    ``(G << 6) | (h_pred << 4) | (h_own << 2) | h_succ``; the shifts are
+    byte-wide multiplications, which numpy runs several times faster.
     """
-    return np.take(RULE_LUT,
-                   (G.view(np.uint8) << 6) | (Hp << 4) | (H << 2) | Hs)
+    return np.take(RULE_LUT, (G.view(np.uint8) * 64) | (Hp * 16) | (H * 4)
+                   | Hs)
 
 
 def batched_guards(X: np.ndarray, H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -142,29 +152,23 @@ def batched_legitimate(X: np.ndarray, H: np.ndarray, K: int) -> np.ndarray:
     interior_diff = X[:, 1:] != X[:, :-1]  # (trials, n-1)
     nb = interior_diff.sum(axis=1)
 
-    # All-equal: token at position 0.
-    d0 = nb == 0
+    # A staircase has no interior boundary (token at 0) or one, at b
+    # (token at b), where the wraparound steps: X[0] == X[n-1] + 1 (mod
+    # K).  X[b-1] and X[b] equal X[0] and X[n-1], so that is also the
+    # step X[b-1] == X[b] + 1 at b.
+    d1 = (nb == 1) & (X[:, 0] == (X[:, n - 1] + 1) % K)
+    pos = np.where(d1, interior_diff.argmax(axis=1) + 1, 0)  # first diff
+    dijkstra_ok = (nb == 0) | d1
 
-    # Single interior boundary at b: X[b-1] == X[b] + 1 (mod K) and the
-    # wraparound also steps: X[0] == X[n-1] + 1 (mod K).
-    d1 = nb == 1
-    boundary = interior_diff.argmax(axis=1) + 1  # first diff
+    # Handshake shapes relative to pos: <0.1> or <1.0> at pos alone, or
+    # <1.0> at pos and <0.1> at its successor.
     rows = np.arange(trials)
-    step_ok = X[rows, boundary - 1] == (X[rows, boundary] + 1) % K
-    wrap_ok = X[:, 0] == (X[:, n - 1] + 1) % K
-    d1 = d1 & step_ok & wrap_ok
-
-    pos = np.where(d1, boundary, 0)
-    dijkstra_ok = d0 | d1
-
-    # Handshake shapes relative to pos.
     h_pos = H[rows, pos]
     h_succ = H[rows, (pos + 1) % n]
-    nonzero = (H != 0).sum(axis=1)
-    shape_a = (nonzero == 1) & (h_pos == 1)          # <0.1> at pos
-    shape_b = (nonzero == 1) & (h_pos == 2)          # <1.0> at pos
+    nonzero = np.count_nonzero(H, axis=1)
+    shape_ab = (nonzero == 1) & ((h_pos == 1) | (h_pos == 2))
     shape_c = (nonzero == 2) & (h_pos == 2) & (h_succ == 1)
-    return dijkstra_ok & (shape_a | shape_b | shape_c)
+    return dijkstra_ok & (shape_ab | shape_c)
 
 
 # -- daemon families ---------------------------------------------------------
@@ -190,21 +194,34 @@ def parse_daemon(spec: str) -> Tuple[str, float]:
     )
 
 
-def _pick(enabled: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _enabled_positions(
+        enabled: np.ndarray,
+        starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(positions, first, count)`` of the True entries of each row.
+
+    ``enabled`` is (rows, n) boolean and ``starts`` the flat offsets
+    ``0, n, .., rows * n``.  ``positions`` are the flat indices of the
+    True entries in row-major order, ``first`` each row's first entry in
+    ``positions`` and ``count`` its number of entries, found by cutting
+    ``positions`` at the row starts without python loops.
+    """
+    positions = np.flatnonzero(enabled)
+    bounds = np.searchsorted(positions, starts)
+    first = bounds[:-1]
+    return positions, first, bounds[1:] - first
+
+
+def _pick(positions: np.ndarray, first: np.ndarray, count: np.ndarray,
+          u: np.ndarray) -> np.ndarray:
     """Flat index of the ``floor(u * count)``-th enabled process per row.
 
-    ``enabled`` is (rows, n) boolean with at least one True per row (an
-    SSRmin configuration always has an enabled process), ``u`` (rows,)
-    uniforms.  The enabled positions in row-major order, cut at each
-    row's first entry, land on the chosen process without python loops.
+    Takes :func:`_enabled_positions`' output for rows with at least one
+    enabled process (an SSRmin configuration always has one) and one
+    uniform per row.  A uniform is at most ``1 - 2**-53``, so
+    ``u * count`` rounds to below ``count`` for every count under
+    ``2**53``.
     """
-    rows, n = enabled.shape
-    positions = np.flatnonzero(enabled)
-    bounds = np.searchsorted(positions, np.arange(0, (rows + 1) * n, n))
-    first = bounds[:-1]
-    count = bounds[1:] - first
-    target = np.minimum((u * count).astype(np.int64), count - 1)
-    return positions[first + target]
+    return positions[first + (u * count).astype(np.int64)]
 
 
 #: Window offsets around a central-daemon move at column ``j``: the
@@ -213,66 +230,74 @@ def _pick(enabled: np.ndarray, u: np.ndarray) -> np.ndarray:
 _WINDOW = np.arange(-2, 3)
 
 #: Steps of ``STREAM_PICK`` uniforms (central picks, Bernoulli fallbacks)
-#: drawn per PRNG call: one ``lanes x 32`` hash in place of 32 small ones.
-_PICK_BLOCK = 32
+#: and of ``STREAM_COINS`` keys hashed per PRNG call: one ``lanes x 32``
+#: hash in place of 32 small ones.
+_BLOCK = 32
 
 
 class _Lanes:
-    """The live lanes of one group: state, counts and per-seed keys.
+    """The live lanes of one group: state, rules and per-seed keys.
 
-    Row ``r`` is the cell at original index ``cell[r]``.  :meth:`retire`
-    drops converged rows from every per-lane array, so each step works
-    on live lanes only; draws are keyed by seed, never by row, so
-    dropping rows leaves every other lane's trajectory unchanged.
+    Row ``r`` is the cell at original index ``cell[r]``.  Given a
+    ``steps`` array, :meth:`step` first retires the lanes that satisfy
+    Definition 1, dropping their rows from every per-lane array, so each
+    move works on live lanes only; draws are keyed by seed, never by row,
+    so dropping rows leaves every other lane's trajectory unchanged.
     """
 
     #: Per-lane arrays, indexed by row.
-    FIELDS = ("cell", "X", "H", "nb", "nz", "pick", "coins", "picks",
+    FIELDS = ("cell", "X", "H", "pick", "coins", "picks", "coin_keys",
               "rule", "enabled")
 
     def __init__(self, X: np.ndarray, H: np.ndarray, seeds: np.ndarray,
-                 cell: np.ndarray, K: int, kind: str, p: float) -> None:
-        self.K, self.kind, self.p = K, kind, p
-        self.cell = cell
+                 K: int, kind: str, p: float) -> None:
+        self.K, self.kind = K, kind
+        lanes, n = X.shape
+        self.cell = np.arange(lanes)
         # Counters are below K, so K < 256 fits them in a byte (x + 1
         # included), and every step reads and writes an eighth as much.
-        counters = np.uint8 if K < 256 else np.int64
-        self.X = X.astype(counters, copy=False)[cell]
-        self.H = H[cell]
-        self.recount()
+        # Both arrays are copies: the step loop writes them in place.
+        self.X = X.astype(np.uint8 if K < 256 else np.int64)
+        self.H = H.astype(np.uint8)
+        self._row_offsets()
         self.lane0 = lane_mixes(1)
-        self.lanes_n = lane_mixes(X.shape[1])
-        self.pick = stream_keys(seeds[cell], STREAM_PICK)
-        self.coins = (stream_keys(seeds[cell], STREAM_COINS)
-                      if kind == "bernoulli" else None)
-        self.picks = None
-        self.picks_from = -_PICK_BLOCK  # nothing drawn yet
+        self.lanes_n = lane_mixes(n)
+        self.pick = stream_keys(seeds, STREAM_PICK)
+        self.coins = self.bound = None
+        if kind == "bernoulli":
+            self.coins = stream_keys(seeds, STREAM_COINS)
+            self.bound = coin_bound(p)
+        self.picks = self.coin_keys = None
+        self.picks_from = self.coin_keys_from = -_BLOCK  # nothing drawn yet
         self.rule = self.enabled = None
         if kind == "central":
             # ``enabled`` mirrors ``rule != 0``: the pick's flatnonzero is
             # several times faster on booleans than on rule codes.
             self.rule = batched_guards(self.X, self.H)[1]
             self.enabled = self.rule != 0
+            # Per-column tables of a move at column j: the window's
+            # columns, whether j is the bottom, and which of the guards
+            # at j - 1 .. j + 1 is G_0.
+            self.window = (np.arange(n)[:, None] + _WINDOW) % n
+            self.bottom = (self.window[:, 2] == 0).astype(np.uint8)
+            self.g0 = self.window[:, 1:4] == 0
 
-    def recount(self) -> None:
-        """Interior x-boundaries and nonzero handshakes, counted in full."""
-        self.nb = np.count_nonzero(self.X[:, 1:] != self.X[:, :-1], axis=1)
-        self.nz = np.count_nonzero(self.H, axis=1)
+    def _row_offsets(self) -> None:
+        """The flat offsets of the rows: ``starts`` (one past the end
+        included) and ``base``."""
+        lanes, n = self.X.shape
+        self.starts = np.arange(0, (lanes + 1) * n, n)
+        self.base = self.starts[:-1]
 
-    def retire(self, steps: np.ndarray, k: int) -> None:
-        """Record and drop the lanes legitimate after step ``k``.
-
-        A legitimate configuration has at most one interior x-boundary and
-        one or two nonzero handshakes, so only lanes whose counts allow it
-        are given to :func:`batched_legitimate`.
-        """
-        nb, nz = self.nb, self.nz
-        rows = np.flatnonzero((nb <= 1) & (nz >= 1) & (nz <= 2))
+    def _retire(self, rows: np.ndarray, steps: np.ndarray, k: int) -> bool:
+        """Record as ``k`` and drop the ``rows`` that satisfy Definition 1;
+        returns whether any did."""
+        if rows.size:
+            rows = rows[batched_legitimate(np.take(self.X, rows, axis=0),
+                                           np.take(self.H, rows, axis=0),
+                                           self.K)]
         if not rows.size:
-            return
-        rows = rows[batched_legitimate(self.X[rows], self.H[rows], self.K)]
-        if not rows.size:
-            return
+            return False
         steps[self.cell[rows]] = k
         keep = np.ones(len(self.cell), dtype=bool)
         keep[rows] = False
@@ -280,90 +305,108 @@ class _Lanes:
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, value[keep])
+        self._row_offsets()
+        return True
 
-    def step(self, k: int) -> None:
-        """Daemon step ``k`` on every live lane."""
+    def step(self, k: int, steps: Optional[np.ndarray] = None) -> None:
+        """Daemon step ``k`` on every live lane.
+
+        Given ``steps``, the lanes whose configuration (the one step
+        ``k - 1`` reached) satisfies Definition 1 are first recorded there
+        as ``k - 1`` and retired.  Every legitimate configuration enables
+        exactly one process, so only lanes with one are checked.
+        """
         if self.kind == "central":
-            self._central_step(k)
+            self._central_step(k, steps)
         else:
-            self._parallel_step(k)
+            self._parallel_step(k, steps)
 
     def _pick_uniforms(self, k: int) -> np.ndarray:
         """Each lane's ``STREAM_PICK`` uniform at step ``k``, drawn for
-        :data:`_PICK_BLOCK` steps at a time."""
-        if k >= self.picks_from + _PICK_BLOCK:
-            keys = step_keys(self.pick, range(k, k + _PICK_BLOCK))
+        :data:`_BLOCK` steps at a time."""
+        if k >= self.picks_from + _BLOCK:
+            keys = step_keys(self.pick, range(k, k + _BLOCK))
             self.picks = keyed_uniforms(keys.ravel(), self.lane0).reshape(
                 keys.shape)
             self.picks_from = k
         return self.picks[:, k - self.picks_from]
 
-    def _central_step(self, k: int) -> None:
+    def _coin_keys(self, k: int) -> np.ndarray:
+        """Each lane's ``STREAM_COINS`` key at step ``k``, hashed for
+        :data:`_BLOCK` steps at a time."""
+        if k >= self.coin_keys_from + _BLOCK:
+            self.coin_keys = step_keys(self.coins, range(k, k + _BLOCK))
+            self.coin_keys_from = k
+        return self.coin_keys[:, k - self.coin_keys_from]
+
+    def _central_step(self, k: int, steps: Optional[np.ndarray]) -> None:
         """One move per lane, then only the moved neighbourhood.
 
         Only column ``j`` changes, so only the guards at ``j - 1 .. j + 1``
-        and the counts' terms at ``j`` are recomputed.
+        are recomputed.
         """
-        X, H, rule = self.X, self.H, self.rule
-        lanes, n = X.shape
-        base = np.arange(0, lanes * n, n)
-        at_j = _pick(self.enabled, self._pick_uniforms(k))
-        cols = (at_j - base)[:, None] + _WINDOW
-        cols %= n
-        flat = cols + base[:, None]
+        positions, first, count = _enabled_positions(self.enabled,
+                                                     self.starts)
+        if steps is not None and self._retire(np.flatnonzero(count == 1),
+                                              steps, k - 1):
+            if not self.cell.size:
+                return
+            positions, first, count = _enabled_positions(self.enabled,
+                                                         self.starts)
+        X, H, rule, base = self.X, self.H, self.rule, self.base
+        at_j = _pick(positions, first, count, self._pick_uniforms(k))
+        j = at_j - base
+        flat = np.take(self.window, j, axis=0) + base[:, None]
         Xw = np.take(X, flat[:, :4])
         Hw = np.take(H, flat)
         r = np.take(rule, at_j)
 
-        # C_j: the predecessor's x, or x_{n-1} + 1 at the bottom.
-        x_left = Xw[:, 1]
-        c = np.where(cols[:, 2] == 0, (x_left + 1) % self.K, x_left)
-        x_new = np.where(np.take(_SETS_X, r), c, Xw[:, 2])
-        h_new = np.take(_NEXT_H, (r << 2) | Hw[:, 2])
-
-        # Swap column j's terms of both counts: the pairs (j-1, j) and
-        # (j, j+1) are interior unless their right column is 0.
-        interior = cols[:, 2:4] != 0
-        self.nb -= ((Xw[:, 2:] != Xw[:, 1:3]) & interior).sum(axis=1)
-        self.nz -= Hw[:, 2] != 0
-        Xw[:, 2] = x_new
-        Hw[:, 2] = h_new
-        D = Xw[:, 1:] != Xw[:, :-1]  # pairs (j-2, j-1), (j-1, j), (j, j+1)
-        self.nb += (D[:, 1:] & interior).sum(axis=1)
-        self.nz += h_new != 0
-
-        np.put(X, at_j, x_new)
-        np.put(H, at_j, h_new)
+        # C_j: the predecessor's x, plus one mod K at the bottom.
+        c = Xw[:, 1] + np.take(self.bottom, j)
+        c %= self.K
+        Xw[:, 2] = np.where(np.take(_SETS_X, r), c, Xw[:, 2])
+        Hw[:, 2] = np.take(_NEXT_H, (r * 4) | Hw[:, 2])
+        np.put(X, at_j, Xw[:, 2])
+        np.put(H, at_j, Hw[:, 2])
         # G_i is x_i != x_{i-1}, except that G_0 is x_0 == x_{n-1}.
-        new = _rules(D ^ (cols[:, 1:4] == 0), Hw[:, :3], Hw[:, 1:4],
-                     Hw[:, 2:])
+        G = (Xw[:, 1:] != Xw[:, :-1]) ^ np.take(self.g0, j, axis=0)
+        new = _rules(G, Hw[:, :3], Hw[:, 1:4], Hw[:, 2:])
         np.put(rule, flat[:, 1:4], new)
         np.put(self.enabled, flat[:, 1:4], new != 0)
 
-    def _parallel_step(self, k: int) -> None:
+    def _parallel_step(self, k: int, steps: Optional[np.ndarray]) -> None:
         """One synchronous or Bernoulli step: every guard, every lane."""
-        X, H = self.X, self.H
-        _, rule = batched_guards(X, H)
+        # The rules live on the lanes for this step so that retiring drops
+        # their rows too.
+        self.rule = batched_guards(self.X, self.H)[1]
+        if steps is not None and self._retire(
+                np.flatnonzero(np.count_nonzero(self.rule, axis=1) == 1),
+                steps, k - 1):
+            if not self.cell.size:
+                return
+        X, H, rule = self.X, self.H, self.rule
         fire = rule
         if self.kind == "bernoulli":
-            coins = keyed_uniforms(step_keys(self.coins, [k])[:, 0],
-                                   self.lanes_n)
-            fire = rule * (coins < self.p)
+            fire = rule * keyed_coins(self._coin_keys(k), self.lanes_n,
+                                      self.bound)
             # A lane whose coins all missed moves one enabled process.
             empty = np.flatnonzero(~fire.any(axis=1))
             if empty.size:
-                u = self._pick_uniforms(k)[empty]
-                j = _pick(rule[empty] != 0, u) % X.shape[1]
+                n = X.shape[1]
+                starts = np.arange(0, (empty.size + 1) * n, n)
+                j = _pick(*_enabled_positions(rule[empty] != 0, starts),
+                          self._pick_uniforms(k)[empty]) % n
                 fire[empty, j] = rule[empty, j]
-        # x_i <- C_i where R2 or R4 fires: an xor select, which numpy
-        # runs several times faster than ``np.where`` on byte-wide arrays.
+        # x_i <- C_i where R2 or R4 fires (``_SETS_X[fire]`` as two
+        # compares, which are cheaper than its gather): an xor select,
+        # which numpy runs several times faster than ``np.where`` on
+        # byte-wide arrays.
         moved = batched_commands(X, self.K)
         moved ^= X
-        moved *= np.take(_SETS_X, fire)
+        moved *= (fire == 2) | (fire == 4)
         moved ^= X
         self.X = moved
-        self.H = np.take(_NEXT_H, (fire << 2) | H)
-        self.recount()
+        self.H = np.take(_NEXT_H, (fire * 4) | H)
 
 
 def _check_instance(n: int, K: Optional[int]) -> int:
@@ -404,7 +447,7 @@ def advance_configurations(
         raise ValueError("X, H and seeds must agree in shape")
     if X.size and (X.min() < 0 or X.max() >= K):
         raise ValueError(f"counters must lie in [0, {K})")
-    lanes = _Lanes(X, H, seeds, np.arange(len(seeds)), K, kind, p)
+    lanes = _Lanes(X, H, seeds, K, kind, p)
     for k in range(1, steps + 1):
         lanes.step(k)
         yield lanes.X, lanes.H
@@ -442,14 +485,15 @@ def run_convergence_cells(
     H = grid_integers(seeds, STREAM_INIT_H, 0, n, 4).astype(np.uint8)
 
     steps = np.full(cells, -1, dtype=np.int64)
-    legit = batched_legitimate(X, H, K)
-    steps[legit] = 0
-    lanes = _Lanes(X, H, seeds, np.flatnonzero(~legit), K, kind, p)
+    lanes = _Lanes(X, H, seeds, K, kind, p)
     for k in range(1, budget + 1):
         if not lanes.cell.size:
             break
-        lanes.step(k)
-        lanes.retire(steps, k)
+        lanes.step(k, steps)
+    else:
+        # The lanes left after the budget's last step (every lane under a
+        # zero budget) have not been checked since it.
+        steps[lanes.cell[batched_legitimate(lanes.X, lanes.H, K)]] = budget
 
     return [
         {"steps": int(steps[c]), "converged": bool(steps[c] >= 0),

@@ -22,6 +22,7 @@ may warn).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Union
 
 import numpy as np
@@ -99,6 +100,27 @@ def keyed_uniforms(keys: np.ndarray, lanes: np.ndarray) -> np.ndarray:
     return (mixed >> _S11).astype(np.float64) * _INV53
 
 
+def coin_bound(p: float) -> np.uint64:
+    """The largest mixed word whose uniform lies below ``p``, ``0 < p <= 1``.
+
+    :func:`keyed_uniforms` maps a word ``w`` to ``(w >> 11) * 2**-53``
+    exactly, which is below ``p`` exactly when ``w < ceil(p * 2**53) *
+    2**11``.  The bound is one less, so that ``p = 1`` (every coin hits)
+    fits a uint64; it is a ``np.uint64`` because NumPy 1.x compares a
+    uint64 array with a Python int in float64.
+    """
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"coin probability must be in (0, 1], got {p}")
+    return np.uint64(math.ceil(p * 2.0 ** 53) * 2 ** 11 - 1)
+
+
+def keyed_coins(keys: np.ndarray, lanes: np.ndarray,
+                bound: np.uint64) -> np.ndarray:
+    """``keyed_uniforms(keys, lanes) < p`` for ``bound = coin_bound(p)``,
+    decided on the mixed words without converting them to float64."""
+    return mix64(keys[:, None] ^ lanes[None, :]) <= bound
+
+
 def grid_uniforms(
     seeds: SeedVector, stream: int, step: int, lanes: int
 ) -> np.ndarray:
@@ -123,9 +145,11 @@ def grid_integers(
 
 
 __all__ = [
+    "coin_bound",
     "counter_keys",
     "grid_integers",
     "grid_uniforms",
+    "keyed_coins",
     "keyed_uniforms",
     "lane_mixes",
     "mix64",

@@ -182,15 +182,19 @@ class SweepSpec:
         """Every grid cell in deterministic enumeration order."""
         axes = self.axes()
         names = [axis for axis, _ in axes]
-        out = []
-        for index, combo in enumerate(product(*(v for _, v in axes))):
-            params = dict(zip(names, combo))
-            key = "/".join(f"{k}={_fmt(v)}" for k, v in params.items())
-            out.append(CellSpec(
-                index=index, key=key, params=params,
-                seed=int(params["seed"]),
-            ))
-        return out
+        seed_at = names.index("seed")
+        # Each value's ``name=value`` label is formatted once; a key joins
+        # the labels of its cell's values.
+        labels = [[f"{axis}={_fmt(v)}" for v in values]
+                  for axis, values in axes]
+        cells = zip(product(*(values for _, values in axes)),
+                    product(*labels))
+        return [
+            CellSpec(index=index, key="/".join(parts),
+                     params=dict(zip(names, combo)),
+                     seed=int(combo[seed_at]))
+            for index, (combo, parts) in enumerate(cells)
+        ]
 
     # -- identity / serialization --------------------------------------------
     def to_json(self) -> dict:

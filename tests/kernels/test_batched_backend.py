@@ -116,6 +116,32 @@ def test_budget_exhaustion_reports_unconverged():
             else:
                 assert r == {"steps": -1, "converged": False,
                              "budget": budget}
+        # A cell that first turns legitimate on the budget's last step
+        # still converges (the configuration is checked after the last
+        # step); one step less leaves it unconverged, alone or in a group.
+        for seed, steps in list(zip(seeds, free))[:8]:
+            assert run_convergence_cells(8, [seed], daemon, budget=steps) == [
+                {"steps": steps, "converged": True, "budget": steps}]
+            assert run_convergence_cells(
+                8, [seed], daemon, budget=steps - 1) == [
+                {"steps": -1, "converged": False, "budget": steps - 1}]
+        own = sorted(free)[len(free) // 2]
+        for cut in (own, own - 1):
+            results = run_convergence_cells(8, seeds, daemon, budget=cut)
+            assert (sum(r["converged"] for r in results)
+                    == sum(steps <= cut for steps in free))
+
+
+def test_zero_budget_converges_only_legitimate_starts():
+    # n = 3, seeds 165 and 239 start legitimate.
+    seeds = list(range(160, 240))
+    free = run_convergence_cells(3, seeds, "central")
+    results = run_convergence_cells(3, seeds, "central", budget=0)
+    starts = [r["steps"] == 0 for r in free]
+    assert sum(starts) == 2
+    assert [r["converged"] for r in results] == starts
+    assert all(r["steps"] == (0 if legit else -1)
+               for r, legit in zip(results, starts))
 
 
 def test_daemon_parsing():

@@ -2,7 +2,9 @@
 
 ``batched_legitimate``, ``batched_guards`` and
 ``batched_privileged_counts`` are checked configuration by configuration
-against ``is_legitimate``, ``enabled_processes`` and ``privileged``.
+against ``is_legitimate``, ``enabled_processes`` and ``privileged``, and
+every legitimate configuration against the fact the step loop retires
+lanes on: it enables exactly one process, by R1, R2 or R3.
 ``advance_configurations`` is checked step by step against
 ``SharedMemorySimulator`` driven by a scalar daemon that draws the
 kernel's counter-keyed numbers, under every daemon family.  The step loop
@@ -72,6 +74,28 @@ class TestLegitimacyEquivalence:
         mask = batched_legitimate(*to_arrays(configs), alg.K)
         for t, config in enumerate(configs):
             assert bool(mask[t]) == alg.is_legitimate(config)
+
+
+class TestLegitimateEnablesOneProcess:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("extra", [1, 2], ids=["K=n+1", "K=n+2"])
+    def test_every_legitimate_configuration_enables_one(self, n, extra):
+        """The step loop checks Definition 1 only on lanes with exactly
+        one enabled process; no legitimate configuration escapes that.
+        (``all_legitimate`` is every one: ``tests/core/test_legitimacy.py``
+        compares it with the whole space of SSRmin(3, 4).)"""
+        alg = SSRmin(n, n + extra)
+        configs = all_legitimate(alg)
+        assert len(set(configs)) == 3 * n * alg.K
+        for config in configs:
+            assert alg.is_legitimate(config)
+            enabled = alg.enabled_processes(config)
+            assert len(enabled) == 1, config
+            assert alg.enabled_rule(config, enabled[0]).name in (
+                "R1", "R2", "R3"), config
+        rule = batched_guards(*to_arrays(configs))[1]
+        assert ((rule != 0).sum(axis=1) == 1).all()
+        assert set(rule[rule != 0].tolist()) <= {1, 2, 3}
 
 
 class TestStepEquivalence:

@@ -1,8 +1,20 @@
 """Counter-based PRNG: determinism, composition independence, bounds."""
 
 import numpy as np
+import pytest
 
-from repro.kernels.prng import counter_keys, grid_integers, grid_uniforms
+from repro.kernels.prng import (
+    coin_bound,
+    counter_keys,
+    grid_integers,
+    grid_uniforms,
+    keyed_coins,
+    keyed_uniforms,
+    lane_mixes,
+)
+
+#: Coin probabilities from the smallest positive uniform step to one.
+COIN_PS = [2.0 ** -53, 0.1, 0.3, 0.5, 1.0 - 2.0 ** -53, 1.0]
 
 
 def test_same_key_same_stream():
@@ -49,3 +61,33 @@ def test_negative_seeds_are_legal_keys():
     a = grid_uniforms([-1], stream=0, step=3, lanes=2)
     b = grid_uniforms([-1], stream=0, step=3, lanes=2)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("p", COIN_PS)
+def test_integer_coins_match_float_coins(p):
+    """The integer coin decision equals ``keyed_uniforms(...) < p`` on
+    131,072 keyed draws."""
+    keys = counter_keys(range(2048), stream=2, step=7)
+    lanes = lane_mixes(64)
+    coins = keyed_coins(keys, lanes, coin_bound(p))
+    assert coins.dtype == bool and coins.shape == (2048, 64)
+    assert np.array_equal(coins, keyed_uniforms(keys, lanes) < p)
+    if p == 1.0:
+        assert coins.all()
+
+
+@pytest.mark.parametrize("p", COIN_PS)
+def test_coin_bound_is_exact_at_the_boundary(p):
+    """Words on either side of the bound fall on either side of ``p``."""
+    bound = coin_bound(p)
+    assert isinstance(bound, np.uint64)
+    words = np.array([w for w in range(int(bound) - 4096, int(bound) + 4097)
+                      if 0 <= w < 2 ** 64], dtype=np.uint64)
+    uniforms = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    assert np.array_equal(words <= bound, uniforms < p)
+
+
+@pytest.mark.parametrize("p", [0.0, -0.5, 1.5, float("nan")])
+def test_coin_bound_rejects_probabilities_outside_the_unit_interval(p):
+    with pytest.raises(ValueError):
+        coin_bound(p)

@@ -1,8 +1,10 @@
 """SweepSpec: validation, enumeration order, identity."""
 
+from itertools import product
+
 import pytest
 
-from repro.sweeps.spec import KIND_AXES, SweepSpec
+from repro.sweeps.spec import KIND_AXES, CellSpec, SweepSpec, _fmt
 
 
 def test_default_spec_enumerates_in_grid_order():
@@ -14,6 +16,31 @@ def test_default_spec_enumerates_in_grid_order():
     assert cells[-1].params == {"n": 8, "daemon": "bernoulli:0.5",
                                "seed": 2}
     assert all(c.seed == c.params["seed"] for c in cells)
+
+
+def cells_cell_by_cell(spec):
+    """The cells as a key-per-cell loop formats them (the reference)."""
+    axes = spec.axes()
+    names = [axis for axis, _ in axes]
+    out = []
+    for index, combo in enumerate(product(*(v for _, v in axes))):
+        params = dict(zip(names, combo))
+        key = "/".join(f"{k}={_fmt(v)}" for k, v in params.items())
+        out.append(CellSpec(index=index, key=key, params=params,
+                            seed=int(params["seed"])))
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    SweepSpec(name="c", n_values=(5, 8, 13),
+              daemons=("central", "bernoulli:0.25", "synchronous"),
+              seeds=tuple(range(-3, 40))),
+    SweepSpec(name="d", kind="des", algorithm="dijkstra", n_values=(5, 8),
+              loss_rates=(0.0, 0.1, 0.3), delay_scales=(1.0, 2.5),
+              duplication_rates=(0.0, 0.2), seeds=(0, 1, 7)),
+], ids=["convergence", "des"])
+def test_cells_equal_the_cell_by_cell_keys(spec):
+    assert spec.cells() == cells_cell_by_cell(spec)
 
 
 def test_des_axes():

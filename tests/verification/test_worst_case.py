@@ -55,7 +55,8 @@ class TestWorstCaseWitness:
         """The witness needs no recursion-limit changes, and works end to
         end on the smallest ring.
 
-        The valuation runs on an explicit stack, so a witness over 160,000
+        The graph is valued in numpy level rounds and the witness walks
+        its rows by position, with no recursion, so a witness over 160,000
         configurations (SSRmin n=4) completes with
         ``sys.setrecursionlimit`` patched to raise.
         """
