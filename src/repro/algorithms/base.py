@@ -142,6 +142,29 @@ class RingAlgorithm(abc.ABC, Generic[C, S]):
         ``rng`` is a :class:`random.Random`-compatible generator.
         """
 
+    # -- transient faults (section 2.2) --------------------------------------
+    def random_local_state(self, rng: Any) -> S:
+        """A uniform value of the local-state domain: one memory corruption.
+
+        One ``rng.choice`` over :meth:`local_state_space`, so seeded fault
+        values (fuzz scripts, live restarts and corruptions) replay draw
+        for draw.
+        """
+        return rng.choice(list(self.local_state_space()))
+
+    def corrupt_process_to(self, config: C, i: int, new_state: S) -> C:
+        """``config`` with process ``i``'s local state replaced.
+
+        Configurations are immutable; scripted fault replay
+        (``tests/corpus/``) passes recorded values here.
+        """
+        replace = getattr(config, "replace", None)
+        if callable(replace):
+            return replace(i, new_state)
+        states = list(config)  # type: ignore[call-overload]
+        states[i] = new_state
+        return self.normalize_configuration(states)
+
     # -- optional fast-path capability ---------------------------------------
     def fast_kernel(self) -> Optional[Any]:
         """A fresh packed simulation kernel, or ``None`` (the default).

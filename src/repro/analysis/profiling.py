@@ -1,7 +1,7 @@
 """Wall-clock phase timing for experiment runs.
 
 :class:`Stopwatch` is a context-manager timer with named splits; the
-experiment registry records its splits in each run manifest.  Performance
+experiment registry records its splits in each run record.  Performance
 claims are measured by the repository benchmark (``perfbench/``), not here.
 """
 

@@ -36,6 +36,7 @@ from repro.chaoslab.experiment import (
 )
 from repro.chaoslab.observe import ObservationPoint
 from repro.chaoslab.scheduler import ExperimentScheduler, OnProgress
+from repro.observability.ingest import ingest_live_report
 from repro.observability.slo import merge_epochs, quantile
 from repro.observability.store import RunStore
 from repro.runtime.chaos import FaultConfig
@@ -205,29 +206,24 @@ def persist_experiment(
 ) -> int:
     """Write one experiment cell into the store; returns its run db id.
 
-    One ``runs`` row (tagged with the campaign), its epochs and injected
-    disturbances, one ``samples`` row per observation, and — for a fatal
-    result — exactly one escalated (critical) incident.
+    The ring's row, epochs and injected disturbances come from
+    :func:`~repro.observability.ingest.ingest_live_report` (kind
+    ``chaos-cell``, tagged with the campaign); this adds one ``samples``
+    row per observation and — for a fatal result — exactly one escalated
+    (critical) incident.
     """
     experiment = result.experiment
-    health = result.report.get("health", {})
-    run_db_id = store.insert_run(
+    run_db_id = ingest_live_report(
+        store,
         experiment.name,
+        result.report,
+        source="chaoslab",
         kind="chaos-cell",
         campaign=campaign,
-        algorithm=result.report.get("algorithm"),
         n=experiment.n,
-        k=result.report.get("K"),
         seed=experiment.seed,
         transport=experiment.transport,
         script="+".join(f.slug for f in experiment.faults),
-        started_utc=_utcnow(),
-        wall_seconds=result.report.get("wall_clock"),
-        stabilized=int(bool(health.get("stabilized"))),
-        vacancy_instants=health.get("vacancy_instants"),
-        violations=len(health.get("guarantee_violations", ())),
-        restarts=result.report.get("restarts"),
-        source="chaoslab",
         extra={
             "status": result.status.value,
             "ok": result.ok,
@@ -239,23 +235,6 @@ def persist_experiment(
             "faults": [f.to_json() for f in experiment.faults],
         },
     )
-    for idx, epoch in enumerate(health.get("epochs", ())):
-        store.add_epoch(
-            run_db_id,
-            idx=idx,
-            label=str(epoch.get("label", "?")),
-            cls=_epoch_class(epoch),
-            started_at=float(epoch.get("started_at", 0.0)),
-            stabilized_at=epoch.get("stabilized_at"),
-        )
-    for op in result.report.get("script", {}).get("ops", ()):
-        store.add_disturbance(
-            run_db_id,
-            at=float(op.get("at", 0.0)),
-            kind=str(op.get("kind", "?")),
-            duration=float(op.get("duration", 0.0)),
-            params=op.get("params") or None,
-        )
     store.add_samples(run_db_id, [
         (
             obs.time,
@@ -281,12 +260,6 @@ def persist_experiment(
         )
     store.flush()
     return run_db_id
-
-
-def _epoch_class(epoch: Dict[str, Any]) -> str:
-    from repro.observability.slo import disturbance_class
-
-    return disturbance_class(str(epoch.get("label", "")))
 
 
 # -- reporting -----------------------------------------------------------------

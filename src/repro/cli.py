@@ -4,23 +4,26 @@ Commands
 --------
 * ``list`` — list the registered experiments;
 * ``run <id> [...]`` — run experiments and print their tables; each run
-  writes a reproducibility manifest + JSONL event trace under
-  ``runs/<id>/`` and records the manifest in ``runs/store.sqlite``
-  (``--no-telemetry`` to skip both);
+  is recorded as a row of ``runs/store.sqlite`` (what ran, phases,
+  metrics) and writes a JSONL event trace to ``runs/<id>/trace.jsonl``
+  (``--no-trace`` to skip the trace, ``--no-telemetry`` to skip both);
 * ``report [-o PATH]`` — run everything and write EXPERIMENTS.md;
-* ``stats <trace.jsonl | manifest.json>`` — replay a telemetry artifact
-  and print its metrics summary;
+* ``stats <trace.jsonl>`` — replay a JSONL event trace and print its
+  metrics summary;
 * ``demo`` — a 30-second terminal demo: the inchworm trace (Figure 4) and a
   message-passing timeline strip chart (Figure 13);
 * ``fuzz run|shrink|replay|seed-corpus`` — the conformance harness: seeded
   differential fuzz campaigns across the reference engine, fastpath kernels
   and the CST projection, witness minimization, and corpus replay
   (see ``docs/TESTING.md``);
+* ``live run|chaos|status`` — one live ring; runs are recorded in the run
+  store (``--no-store`` records nothing), and ``status`` reads it back;
 * ``top`` — live terminal dashboard over an in-process ring fleet
   (curses, or ``--plain`` frames for pipes);
 * ``fleet run|status`` — N concurrent rings multiplexed over a shared
   UDP socket pool (binary wire fastpath, optional worker-process
-  sharding, optional load generation; see ``docs/RUNTIME.md``);
+  sharding, optional load generation; see ``docs/RUNTIME.md``), recorded
+  as one ``fleet`` row plus its ring rows;
 * ``sweep run|resume|status|report`` — resumable phase-diagram sweeps
   (batched cells through the unified kernel layer; see
   ``docs/PERFORMANCE.md``);
@@ -46,6 +49,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    import os
+
     failures = 0
     for eid in args.ids:
         if args.no_telemetry:
@@ -55,15 +60,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             from repro.experiments.registry import run_experiment_instrumented
 
-            result, run_dir = run_experiment_instrumented(
+            result, trace_path = run_experiment_instrumented(
                 eid, fast=args.fast, outdir=args.telemetry_dir,
                 trace=not args.no_trace,
             )
         print(result.render())
         if not args.no_telemetry:
-            artifacts = "manifest.json" + (
-                "" if args.no_trace else ", trace.jsonl")
-            print(f"telemetry: {run_dir}/ ({artifacts})")
+            store = os.path.join(args.telemetry_dir, "store.sqlite")
+            print(f"telemetry: {store} (run {eid})"
+                  + (f", {trace_path}" if trace_path else ""))
         print()
         if not result.match:
             failures += 1
@@ -88,14 +93,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     import json
 
-    from repro.telemetry import TraceStats, manifest_summary, read_manifest
+    from repro.telemetry import TraceStats
 
     try:
-        if args.trace.endswith(".json"):
-            manifest = read_manifest(args.trace)
-            for line in manifest_summary(manifest):
-                print(line)
-            return 0
         stats = TraceStats.from_file(args.trace)
     except OSError as exc:
         print(f"error: cannot read {args.trace}: {exc.strerror or exc}",
@@ -175,73 +175,46 @@ def _live_common_kwargs(args: argparse.Namespace) -> dict:
     )
 
 
-def _live_finish(args: argparse.Namespace, report: dict, run_id: str,
-                 command: str) -> int:
-    """Shared tail of `live run|chaos`: manifest + summary + exit code."""
-    import os
+def _live_finish(report: dict) -> int:
+    """Shared tail of `live run|chaos`: summary lines + exit code.
 
+    The exit code reads the run's one verdict, ``health.ok`` — the value
+    the run store records and ``live status`` reads back.
+    """
     from repro.runtime import render_live_report
 
-    if not args.no_telemetry:
-        from repro.telemetry import build_manifest, write_manifest
-
-        run_dir = os.path.join(args.telemetry_dir, run_id)
-        os.makedirs(run_dir, exist_ok=True)
-        manifest = build_manifest(
-            args._session,
-            experiment_id=run_id,
-            command=command,
-            trace_file=None,
-            extra={"live": report},
-        )
-        write_manifest(os.path.join(run_dir, "manifest.json"), manifest)
-        print(f"telemetry: {run_dir}/ (manifest.json)")
-        if not getattr(args, "no_store", True):
-            print(f"run store: {args.store} (run {run_id})")
     for line in render_live_report(report):
         print(line)
-    health = report.get("health", {})
-    ok = bool(health.get("stabilized")) and not any(
-        v.get("epoch_index") == len(health.get("epochs", [])) - 1
-        for v in health.get("guarantee_violations", [])
-    )
+    ok = bool(report.get("health", {}).get("ok"))
     print("result: " + ("HEALTHY" if ok else "UNHEALTHY"))
     return 0 if ok else 1
 
 
-def _with_live_session(args: argparse.Namespace, fn,
-                       run_id: Optional[str] = None) -> int:
-    """Run ``fn()`` (run + finish) under a telemetry session unless disabled.
+def _live_recorded(args: argparse.Namespace, run_id: str, go) -> int:
+    """Run ``go()`` (-> the live report), recorded unless ``--no-store``.
 
-    Unless ``--no-store`` was given, a
-    :class:`~repro.observability.ingest.StoreSubscriber` rides along
-    (``detail=False``, so the engines keep their batched hot loop) and
-    persists the run to the sqlite store at ``--store``.
+    Recording installs a telemetry session with a
+    :class:`~repro.observability.ingest.StoreSubscriber` (``detail=False``,
+    so the engines keep their batched hot loop) writing the run as row
+    ``run_id`` of the sqlite store at ``--store``.  With ``--no-store``
+    no session is installed and nothing is written.
     """
-    if args.no_telemetry:
-        args._session = None
-        return fn()
+    if args.no_store:
+        return _live_finish(go())
+    from repro.observability import RunStore, StoreSubscriber
     from repro.telemetry import telemetry_session
 
-    with telemetry_session() as tel:
-        args._session = tel
-        store = None
-        subscriber = None
-        if not getattr(args, "no_store", True):
-            from repro.observability import RunStore, StoreSubscriber
-
-            store = RunStore(args.store)
-            subscriber = StoreSubscriber(
-                store, run_id=run_id, session=tel, source="live"
-            )
-            tel.subscribe(subscriber, detail=False)
+    with RunStore(args.store) as store, telemetry_session() as tel:
+        subscriber = StoreSubscriber(
+            store, run_id=run_id, session=tel, source="live"
+        )
+        tel.subscribe(subscriber, detail=False)
         try:
-            return fn()
+            report = go()
         finally:
-            if subscriber is not None:
-                subscriber.close()
-            if store is not None:
-                store.close()
+            subscriber.close()
+    print(f"run store: {args.store} (run {run_id})")
+    return _live_finish(report)
 
 
 def _cmd_live_run(args: argparse.Namespace) -> int:
@@ -261,17 +234,8 @@ def _cmd_live_run(args: argparse.Namespace) -> int:
         return _cmd_fleet_run(args)
 
     run_id = f"live-run-{args.algorithm}-n{args.n}-seed{args.seed}"
-    command = (
-        f"repro live run --algorithm {args.algorithm} --n {args.n} "
-        f"--transport {args.transport} --seed {args.seed} "
-        f"--duration {args.duration}"
-    )
-
-    def go() -> int:
-        report = live_run(duration=args.duration, **_live_common_kwargs(args))
-        return _live_finish(args, report, run_id, command)
-
-    return _with_live_session(args, go, run_id=run_id)
+    return _live_recorded(args, run_id, lambda: live_run(
+        duration=args.duration, **_live_common_kwargs(args)))
 
 
 def _cmd_live_chaos(args: argparse.Namespace) -> int:
@@ -280,87 +244,63 @@ def _cmd_live_chaos(args: argparse.Namespace) -> int:
     run_id = (
         f"live-chaos-{args.script}-{args.algorithm}-n{args.n}-seed{args.seed}"
     )
-    command = (
-        f"repro live chaos --script {args.script} --algorithm "
-        f"{args.algorithm} --n {args.n} --transport {args.transport} "
-        f"--seed {args.seed}"
-    )
-
-    def go() -> int:
-        report = live_chaos(
-            script=args.script,
-            extra_duration=args.duration,
-            **_live_common_kwargs(args),
-        )
-        return _live_finish(args, report, run_id, command)
-
-    return _with_live_session(args, go, run_id=run_id)
+    return _live_recorded(args, run_id, lambda: live_chaos(
+        script=args.script, extra_duration=args.duration,
+        **_live_common_kwargs(args)))
 
 
-def _read_live_manifests(telemetry_dir: str):
-    """Yield ``(path, manifest_or_None)`` for recorded live runs."""
-    import glob
-    import os
-
-    from repro.telemetry import read_manifest
-
-    pattern = os.path.join(telemetry_dir, "live-*", "manifest.json")
-    for path in sorted(glob.glob(pattern)):
-        try:
-            yield path, read_manifest(path)
-        except (OSError, ValueError):
-            yield path, None
+def _final_ttr(epochs) -> Optional[float]:
+    """Time to (re)stabilize: the run's last epoch's ``time_to_stabilize``."""
+    return epochs[-1].get("time_to_stabilize") if epochs else None
 
 
 def _cmd_live_status(args: argparse.Namespace) -> int:
     import time
 
-    if args.watch:
-        # Same per-ring rows as ``repro top``, rebuilt from the recorded
-        # manifests every interval (shared renderer; see dashboard.py).
-        from repro.observability import RingRow, render_rows
+    from repro.observability import RingRow, recorded_ok, render_rows
 
-        iterations = args.iterations
-        frame = 0
-        while True:
-            rows = []
-            for path, manifest in _read_live_manifests(args.telemetry_dir):
-                if manifest is None:
-                    rows.append(RingRow(name=f"?? {path}", status="UNREADABLE"))
-                    continue
-                live = (manifest.get("extra") or {}).get("live", {})
-                rows.append(RingRow.from_live_report(
-                    str(manifest.get("experiment_id")), live))
-            frame += 1
-            print(f"live status — frame {frame} ({len(rows)} runs)")
-            for line in render_rows(rows):
-                print(line)
-            print()
-            if iterations is not None and frame >= iterations:
-                return 0 if rows else 1
-            time.sleep(args.interval)
+    store = _open_store(args)
+    if store is None:
+        return 1
 
-    entries = list(_read_live_manifests(args.telemetry_dir))
+    def recorded():
+        """``(row, epochs)`` of every `live run|chaos` row, by run id."""
+        rows = [r for r in store.list_runs(kind="live")
+                if r.get("source") == "live"]
+        return [(r, store.epochs_for(r["id"]))
+                for r in sorted(rows, key=lambda r: r["run_id"])]
+
+    with store:
+        if args.watch:
+            # Same per-ring rows as ``repro top``, rebuilt from the store
+            # every interval (shared renderer; see dashboard.py).
+            frame = 0
+            while True:
+                rows = [RingRow.from_run(run["run_id"], run, epochs)
+                        for run, epochs in recorded()]
+                frame += 1
+                print(f"live status — frame {frame} ({len(rows)} runs)")
+                for line in render_rows(rows):
+                    print(line)
+                print()
+                if args.iterations is not None and frame >= args.iterations:
+                    return 0 if rows else 1
+                time.sleep(args.interval)
+
+        entries = recorded()
     if not entries:
-        print(f"no live run manifests under {args.telemetry_dir}/live-*/")
+        print(f"no live runs in {args.store}")
         return 1
     failures = 0
-    for path, manifest in entries:
-        if manifest is None:
-            print(f"??   {path}: unreadable")
-            failures += 1
-            continue
-        live = (manifest.get("extra") or {}).get("live", {})
-        health = live.get("health", {})
-        ok = bool(health.get("stabilized"))
-        ttr = health.get("time_to_restabilize")
-        status = "ok" if ok else "FAIL"
+    for run, epochs in entries:
+        ok = bool(recorded_ok(run))
+        ttr = _final_ttr(epochs)
         print(
-            f"{status:4s} {manifest.get('experiment_id')}: "
-            f"{live.get('algorithm')} n={live.get('n')} "
-            f"transport={live.get('transport')}"
+            f"{'ok' if ok else 'FAIL':4s} {run['run_id']}: "
+            f"{run.get('algorithm')} n={run.get('n')} "
+            f"transport={run.get('transport')}"
             + (f" restabilized in {ttr:.3f}s" if ttr is not None else "")
-            + f" ({manifest.get('created_utc')})"
+            + f" ({run.get('started_utc')})"
         )
         if not ok:
             failures += 1
@@ -368,11 +308,9 @@ def _cmd_live_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    import json
-    import os
-
     from repro.runtime import (
-        default_specs, render_fleet_report, run_fleet, run_fleet_sharded,
+        default_specs, fleet_id, render_fleet_report, run_fleet,
+        run_fleet_sharded,
     )
 
     specs = default_specs(
@@ -394,72 +332,65 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
         stabilize_timeout=args.stabilize_timeout,
         use_uvloop=not args.no_uvloop,
     )
+    store_path = None if args.no_store else args.store
     if args.workers > 1:
-        # Shard workers skip the run store: concurrent sqlite writers
+        # Shard workers open no run store: concurrent sqlite writers
         # would serialize on the database lock and skew the fleet.
         report = run_fleet_sharded(specs, args.workers, **kwargs)
     else:
-        store_path = None if getattr(args, "no_store", True) else args.store
         report = run_fleet(specs, store_path=store_path, **kwargs)
-        if store_path is not None:
-            print(f"run store: {store_path} "
-                  f"({args.rings} fleet-* runs recorded)")
+    if store_path is not None:
+        from repro.observability import RunStore, ingest_fleet_report
 
-    fleet_id = (
-        f"fleet-{args.algorithm}-r{args.rings}-n{args.n}-seed{args.seed}"
-    )
-    if not args.no_telemetry:
-        run_dir = os.path.join(args.telemetry_dir, fleet_id)
-        os.makedirs(run_dir, exist_ok=True)
-        path = os.path.join(run_dir, "fleet.json")
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
-        print(f"telemetry: {run_dir}/ (fleet.json)")
+        run_id = fleet_id(specs)
+        with RunStore(store_path) as store:
+            # A sharded fleet's ring rows come from its merged report.
+            ingest_fleet_report(store, run_id, report,
+                                rings=args.workers > 1)
+        print(f"run store: {store_path} "
+              f"(run {run_id}, {args.rings} ring rows)")
     for line in render_fleet_report(report):
         print(line)
-    ok = report["stabilized_rings"] == report["rings"]
+    ok = all(ring["health"].get("ok")
+             for ring in report["ring_reports"].values())
     print("result: " + ("HEALTHY" if ok else "UNHEALTHY"))
     return 0 if ok else 1
 
 
 def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    import glob
-    import json
-    import os
+    from repro.observability import RingRow, recorded_ok, render_rows
 
-    from repro.observability import RingRow, render_rows
-
-    pattern = os.path.join(args.telemetry_dir, "fleet-*", "fleet.json")
-    paths = sorted(glob.glob(pattern))
-    if not paths:
-        print(f"no fleet reports under {args.telemetry_dir}/fleet-*/")
+    store = _open_store(args)
+    if store is None:
         return 1
-    failures = 0
-    for path in paths:
-        fleet_id = os.path.basename(os.path.dirname(path))
-        try:
-            with open(path) as fh:
-                report = json.load(fh)
-        except (OSError, ValueError):
-            print(f"??   {fleet_id}: unreadable ({path})")
-            failures += 1
-            continue
-        ok = report.get("stabilized_rings") == report.get("rings")
-        print(
-            f"{'ok' if ok else 'FAIL':4s} {fleet_id}: "
-            f"{report.get('rings')} rings over {report.get('transport')} "
-            f"(loop={report.get('loop')}) "
-            f"{report.get('delivered_per_sec', 0.0):,.0f} msgs/sec"
-        )
-        rows = [
-            RingRow.from_live_report(name, ring)
-            for name, ring in sorted(report.get("ring_reports", {}).items())
-        ]
-        for line in render_rows(rows):
-            print("  " + line)
-        if not ok:
-            failures += 1
+    with store:
+        fleets = sorted(store.list_runs(kind="fleet"),
+                        key=lambda r: r["run_id"])
+        rings = sorted(store.list_runs(kind="live"),
+                       key=lambda r: r["run_id"])
+        if not fleets:
+            print(f"no fleet runs in {args.store}")
+            return 1
+        failures = 0
+        for fleet in fleets:
+            report = fleet.get("extra") or {}
+            ok = bool(recorded_ok(fleet))
+            print(
+                f"{'ok' if ok else 'FAIL':4s} {fleet['run_id']}: "
+                f"{report.get('rings')} rings over {report.get('transport')} "
+                f"(loop={report.get('loop')}) "
+                f"{report.get('delivered_per_sec', 0.0):,.0f} msgs/sec"
+            )
+            prefix = fleet["run_id"] + "/"
+            rows = [
+                RingRow.from_run(ring["run_id"][len(prefix):], ring,
+                                 store.epochs_for(ring["id"]))
+                for ring in rings if ring["run_id"].startswith(prefix)
+            ]
+            for line in render_rows(rows):
+                print("  " + line)
+            if not ok:
+                failures += 1
     return 1 if failures else 0
 
 
@@ -495,8 +426,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
         if store is not None:
             store.close()
     failures = sum(
-        0 if report.get("health", {}).get("stabilized") else 1
-        for report in reports
+        0 if report.get("health", {}).get("ok") else 1 for report in reports
     )
     if store is not None:
         print(f"run store: {args.store} "
@@ -522,15 +452,16 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
     store = _open_store(args)
     if store is None:
         return 1
+    from repro.observability import recorded_ok
+
     with store:
         rows = store.list_runs(
             kind=args.kind, algorithm=args.algorithm, limit=args.limit)
+        ttrs = [_final_ttr(store.epochs_for(row["id"])) for row in rows]
         counts = store.counts()
-    for row in rows:
-        stabilized = row.get("stabilized")
-        status = ("ok" if stabilized else
-                  "FAIL" if stabilized is not None else "?")
-        ttr = row.get("time_to_restabilize")
+    for row, ttr in zip(rows, ttrs):
+        ok = recorded_ok(row)
+        status = "?" if ok is None else "ok" if ok else "FAIL"
         print(
             f"{status:4s} {row['run_id']}: {row.get('kind')} "
             f"{row.get('algorithm') or '?'} n={row.get('n') or '?'} "
@@ -565,6 +496,8 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
         incidents = store.incidents(run["id"])
         samples = store.samples_for(run["id"])
     print(f"run {run['run_id']} [{run['kind']}]")
+    for line in _record_lines(run):
+        print(line)
     for key in ("algorithm", "n", "K", "transport", "seed", "source",
                 "script", "started_utc", "wall_seconds", "stabilized",
                 "vacancy_instants", "violations", "restarts"):
@@ -598,6 +531,32 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
              "incidents": incidents, "samples": samples},
             indent=2, default=str))
     return 0
+
+
+def _record_lines(run: dict) -> List[str]:
+    """What ran, from the run record of an experiment or fuzz row."""
+    extra = run.get("extra") or {}
+    if not isinstance(extra, dict) or "command" not in extra:
+        return []
+    lines = [
+        f"experiment: {run['run_id']}",
+        f"command:    {extra.get('command')}",
+        f"version:    repro {(extra.get('package') or {}).get('version')}",
+        f"created:    {run.get('started_utc')}",
+        f"wall time:  {run.get('wall_seconds') or 0.0:.2f}s",
+    ]
+    for phase in extra.get("phases", ()):
+        lines.append(f"  phase {phase['label']}: {phase['seconds']:.3f}s")
+    for desc in extra.get("runs", ()):
+        rest = {k: v for k, v in desc.items()
+                if k not in ("layer", "kind", "time")}
+        lines.append(f"  {desc.get('layer')}/{desc.get('kind')}: {rest}")
+    trace = extra.get("trace") or {}
+    if trace.get("file"):
+        suffix = (f" (TRUNCATED, {trace['dropped_events']} dropped)"
+                  if trace.get("truncated") else "")
+        lines.append(f"trace:      {trace['file']}{suffix}")
+    return lines
 
 
 def _cmd_runs_query(args: argparse.Namespace) -> int:
@@ -785,28 +744,24 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
         result = run_campaign(**kwargs)
     else:
         from repro.observability import RunStore, ingest_manifest
-        from repro.telemetry import (
-            build_manifest, telemetry_session, write_manifest,
-        )
+        from repro.telemetry import build_manifest, telemetry_session
 
-        run_dir = os.path.join(args.telemetry_dir, f"fuzz-seed{args.seed}")
-        os.makedirs(run_dir, exist_ok=True)
-        trace_path = os.path.join(run_dir, "trace.jsonl")
+        run_id = f"fuzz-seed{args.seed}"
+        trace_path = os.path.join(args.telemetry_dir, run_id, "trace.jsonl")
+        os.makedirs(os.path.dirname(trace_path), exist_ok=True)
         with telemetry_session(trace_path=trace_path) as tel:
             result = run_campaign(**kwargs)
         manifest = build_manifest(
             tel,
-            experiment_id=f"fuzz-seed{args.seed}",
+            experiment_id=run_id,
             command=f"repro fuzz run --seed {args.seed}",
             trace_file=trace_path,
             extra={"campaign": result.to_json()},
         )
-        manifest_path = write_manifest(
-            os.path.join(run_dir, "manifest.json"), manifest)
-        with RunStore(os.path.join(args.telemetry_dir,
-                                   "store.sqlite")) as store:
-            ingest_manifest(store, manifest, source=manifest_path)
-        print(f"telemetry: {run_dir}/ (manifest.json, trace.jsonl)")
+        store_path = os.path.join(args.telemetry_dir, "store.sqlite")
+        with RunStore(store_path) as store:
+            ingest_manifest(store, manifest, source="fuzz")
+        print(f"telemetry: {store_path} (run {run_id}), {trace_path}")
 
     print(result.summary())
     for rec in result.divergences:
@@ -1057,11 +1012,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument("ids", nargs="+", help="experiment ids (see 'list')")
     p_run.add_argument("--fast", action="store_true", help="reduced trial counts")
     p_run.add_argument("--telemetry-dir", default="runs", metavar="DIR",
-                       help="where run manifests/traces land (default runs/)")
+                       help="where the run store and traces land "
+                            "(default runs/)")
     p_run.add_argument("--no-telemetry", action="store_true",
-                       help="skip manifest + trace artifacts")
+                       help="record nothing: no store row, no trace")
     p_run.add_argument("--no-trace", action="store_true",
-                       help="write the manifest but not the JSONL trace")
+                       help="record the store row but not the JSONL trace")
     p_run.set_defaults(fn=_cmd_run)
 
     p_report = sub.add_parser("report", help="run everything, write EXPERIMENTS.md")
@@ -1070,7 +1026,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_report.add_argument("--parallel", type=int, default=1, metavar="N",
                           help="worker processes (default 1)")
     p_report.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                          help="also write per-experiment run manifests")
+                          help="also record each experiment in "
+                               "DIR/store.sqlite")
     p_report.add_argument("--trace", action="store_true",
                           help="with --telemetry-dir: also write JSONL traces")
     p_report.add_argument("--live-progress", action="store_true",
@@ -1078,9 +1035,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_report.set_defaults(fn=_cmd_report)
 
     p_stats = sub.add_parser(
-        "stats", help="replay a JSONL trace (or manifest) and print metrics"
+        "stats", help="replay a JSONL trace and print metrics"
     )
-    p_stats.add_argument("trace", help="path to trace.jsonl or manifest.json")
+    p_stats.add_argument("trace", help="path to a trace.jsonl")
     p_stats.set_defaults(fn=_cmd_stats)
 
     p_demo = sub.add_parser("demo", help="terminal demo (trace + timeline)")
@@ -1275,8 +1232,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument("--duration", type=float, default=2.0,
                        metavar="SECONDS",
                        help="steady-state run time after stabilization")
-        p.add_argument("--telemetry-dir", default="runs", metavar="DIR")
-        p.add_argument("--no-telemetry", action="store_true")
         _store_args(p)
 
     pl_run = live_sub.add_parser(
@@ -1301,9 +1256,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                           duration=0.0)
 
     pl_status = live_sub.add_parser(
-        "status", help="summarize recorded live-run manifests"
+        "status", help="summarize the live runs recorded in the run store"
     )
-    pl_status.add_argument("--telemetry-dir", default="runs", metavar="DIR")
     pl_status.add_argument("--watch", action="store_true",
                            help="redraw dashboard rows (same renderer as "
                                 "'repro top') every --interval seconds")
@@ -1313,6 +1267,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                            metavar="N",
                            help="with --watch: stop after N frames "
                                 "(default: run until interrupted)")
+    _store_args(pl_status, toggle=False)
     pl_status.set_defaults(fn=_cmd_live_status)
 
     p_fleet = sub.add_parser(
@@ -1339,7 +1294,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "loopbacks (no sockets)")
     pfl_run.add_argument("--workers", type=int, default=1,
                          help=">1 shards whole rings across worker "
-                              "processes (run store disabled)")
+                              "processes (the parent records their rows)")
     pfl_run.add_argument("--sockets", type=int, default=1,
                          help="shared UDP socket pool size per process")
     pfl_run.add_argument("--duration", type=float, default=2.0,
@@ -1364,15 +1319,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     pfl_run.add_argument("--no-batch", action="store_true",
                          help="send one datagram per message (disable "
                               "send-side coalescing)")
-    pfl_run.add_argument("--telemetry-dir", default="runs", metavar="DIR")
-    pfl_run.add_argument("--no-telemetry", action="store_true")
     _store_args(pfl_run)
     pfl_run.set_defaults(fn=_cmd_fleet_run)
 
     pfl_status = fleet_sub.add_parser(
-        "status", help="summarize recorded fleet reports"
+        "status", help="summarize the fleets recorded in the run store"
     )
-    pfl_status.add_argument("--telemetry-dir", default="runs", metavar="DIR")
+    _store_args(pfl_status, toggle=False)
     pfl_status.set_defaults(fn=_cmd_fleet_status)
 
     p_top = sub.add_parser(

@@ -29,10 +29,10 @@ class Daemon(abc.ABC):
         return type(self).__name__
 
     def describe(self) -> Dict[str, Any]:
-        """Reproducibility descriptor recorded in run manifests.
+        """Reproducibility descriptor recorded in run records.
 
         Subclasses with tunables (seeds, probabilities) extend the base
-        dict so a manifest pins down the exact schedule distribution.
+        dict so a record pins down the exact schedule distribution.
         """
         return {"name": self.name, "distributed": self.distributed}
 

@@ -8,7 +8,8 @@ nothing fancy needs pickling).
 Observability: workers can run under their own telemetry session — with
 ``live_progress`` each prints throttled steps/sec + token-census lines to
 stderr (see :mod:`repro.telemetry.progress`), and with ``telemetry_dir``
-each writes a run manifest (+ optional JSONL trace) next to its result.
+each records its run as a row of ``<telemetry_dir>/store.sqlite`` (every
+worker writes the same store; plus an optional JSONL trace).
 The parent additionally invokes ``on_result`` as experiments *complete*
 (completion order), which ``repro report`` uses for its progress ticker.
 
@@ -85,8 +86,9 @@ def run_experiments_parallel(
         Emit throttled per-experiment progress lines (stderr) from each
         worker's telemetry session.
     telemetry_dir:
-        When set, each experiment writes ``manifest.json`` (and, with
-        ``trace``, ``trace.jsonl``) under ``<telemetry_dir>/<id>/``.
+        When set, each experiment records its row in
+        ``<telemetry_dir>/store.sqlite`` (and, with ``trace``, writes
+        ``<telemetry_dir>/<id>/trace.jsonl``).
     trace:
         Also write JSONL event traces (only meaningful with
         ``telemetry_dir``).

@@ -12,7 +12,7 @@ from __future__ import annotations
 import importlib
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -141,27 +141,27 @@ def run_experiment_instrumented(
     outdir: str = "runs",
     trace: bool = True,
     subscribers: Sequence[Callable] = (),
-) -> Tuple[ExperimentResult, str]:
-    """Run one experiment under a telemetry session, with artifacts.
+) -> Tuple[ExperimentResult, Optional[str]]:
+    """Run one experiment under a telemetry session and record it.
 
-    Writes ``<outdir>/<experiment_id>/manifest.json`` (always) and
-    ``trace.jsonl`` (when ``trace``) so the result is reproducible from
-    its manifest: seeds, daemon descriptors, wall-clock phases, package
-    version and a full metrics snapshot are recorded next to the table.
-    The manifest is also recorded as a ``runs`` row in the run store
-    ``<outdir>/store.sqlite``.  An unknown id raises :class:`KeyError`
-    before anything is written.
+    The run's record — seeds, daemon descriptors, wall-clock phases,
+    package version, a full metrics snapshot and the trace's path — is
+    its ``runs`` row in the run store ``<outdir>/store.sqlite``, so the
+    result is reproducible from that row (``repro runs show <id>``).
+    With ``trace`` the JSONL event trace is written to
+    ``<outdir>/<experiment_id>/trace.jsonl``; nothing else is written.
+    An unknown id raises :class:`KeyError` before anything is written.
 
     Parameters
     ----------
     experiment_id:
         Registry id.
     fast:
-        Reduced trial counts (recorded in the manifest).
+        Reduced trial counts (recorded in the row).
     outdir:
-        Base directory for per-experiment run directories.
+        Directory of the run store and of the per-experiment traces.
     trace:
-        Whether to also write the JSONL event trace (manifests alone are
+        Whether to also write the JSONL event trace (rows alone are
         cheap; traces capture every event).
     subscribers:
         Extra event subscribers (e.g. a
@@ -170,19 +170,20 @@ def run_experiment_instrumented(
 
     Returns
     -------
-    (result, run_dir):
-        The experiment result and the directory the artifacts landed in.
+    (result, trace_path):
+        The experiment result and the trace's path (None without
+        ``trace``).
     """
     from repro.analysis.profiling import Stopwatch
     from repro.observability import RunStore, ingest_manifest
-    from repro.telemetry import build_manifest, telemetry_session, write_manifest
-    from repro.telemetry.manifest import default_run_dir
+    from repro.telemetry import build_manifest, telemetry_session
 
     if experiment_id not in _RUNNERS:
         raise KeyError(experiment_id)
-    run_dir = default_run_dir(outdir, experiment_id)
-    trace_file = "trace.jsonl" if trace else None
-    trace_path = os.path.join(run_dir, trace_file) if trace_file else None
+    trace_path = None
+    if trace:
+        trace_path = os.path.join(outdir, experiment_id, "trace.jsonl")
+        os.makedirs(os.path.dirname(trace_path), exist_ok=True)
     with Stopwatch() as stopwatch:
         with telemetry_session(trace_path=trace_path) as session:
             for fn in subscribers:
@@ -197,12 +198,10 @@ def run_experiment_instrumented(
             command=f"python -m repro run {experiment_id}"
                     + (" --fast" if fast else ""),
             phases=stopwatch.splits,
-            trace_file=trace_file,
+            trace_file=trace_path,
             extra={"fast": fast, "title": result.title,
                    "match": result.match},
         )
-    manifest_path = write_manifest(
-        os.path.join(run_dir, "manifest.json"), manifest)
     with RunStore(os.path.join(outdir, "store.sqlite")) as store:
-        ingest_manifest(store, manifest, source=manifest_path)
-    return result, run_dir
+        ingest_manifest(store, manifest, source="experiment")
+    return result, trace_path

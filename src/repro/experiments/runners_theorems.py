@@ -274,7 +274,7 @@ def run_thm4(fast: bool = False) -> ExperimentResult:
     derives its RNG stream from its own seed value alone, so the rows are
     bit-identical at any worker count.  When an ambient telemetry session
     is active the sweep stays in-process — worker processes could not
-    publish their network events into the parent's bus, and run manifests
+    publish their network events into the parent's bus, and run records
     must keep their full event streams.
     """
     import os

@@ -57,7 +57,7 @@ class MessagePassingNetwork:
         #: used by CoherenceTracker for exact event-driven checks.
         self.observers: List[Callable[["MessagePassingNetwork"], None]] = []
         #: Seed the network was built from (set by :func:`build_cst_network`;
-        #: recorded in run manifests).
+        #: recorded in run records).
         self.seed: Optional[int] = None
         # -- telemetry -----------------------------------------------------
         # Every network owns a structured event bus; link sends/deliveries/

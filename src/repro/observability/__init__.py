@@ -1,14 +1,15 @@
 """Operator-grade observability: run store, SLO engine, incidents, ``top``.
 
-This package turns the repo's telemetry exhaust (event bus, manifests,
+This package turns the repo's telemetry exhaust (event bus, run records,
 health reports) into an operator surface:
 
 * :mod:`~repro.observability.store` — the persistent sqlite run store
   (``runs/store.sqlite``): runs, epochs, disturbances, metric samples and
   incidents, queryable via ``repro runs list|show|query``;
-* :mod:`~repro.observability.ingest` — the live EventBus subscriber that
-  feeds the store from runtime deployments, and the manifest record that
-  ``repro run`` and ``repro fuzz run`` write next to each manifest;
+* :mod:`~repro.observability.ingest` — every way a run becomes rows: the
+  live EventBus subscriber that feeds the store from runtime deployments,
+  the writers for finished live reports and fleets, and the run record of
+  ``repro run``, ``repro report`` and ``repro fuzz run``;
 * :mod:`~repro.observability.slo` — paper-grounded service objectives
   (p50/p99 time-to-restabilize per disturbance class, the zero-vacancy
   graceful-handover guarantee, census bounds, availability) with
@@ -16,7 +17,8 @@ health reports) into an operator surface:
 * :mod:`~repro.observability.incidents` — structured incident records
   opened when the health monitor trips or an SLO burns budget;
 * :mod:`~repro.observability.dashboard` — the ``repro top`` live terminal
-  dashboard and the row renderer shared with ``repro live status --watch``.
+  dashboard and the row renderer shared with ``repro live status --watch``
+  and ``repro fleet status``.
 
 See ``docs/OBSERVABILITY.md`` for the schema, SLO spec format and the
 incident lifecycle.
@@ -31,7 +33,13 @@ from repro.observability.dashboard import (
     top_plain,
 )
 from repro.observability.incidents import IncidentTracker, render_incidents
-from repro.observability.ingest import StoreSubscriber, ingest_manifest
+from repro.observability.ingest import (
+    StoreSubscriber,
+    ingest_fleet_report,
+    ingest_live_report,
+    ingest_manifest,
+    recorded_ok,
+)
 from repro.observability.slo import (
     SloResult,
     SloSpec,
@@ -59,10 +67,13 @@ __all__ = [
     "default_slos",
     "disturbance_class",
     "evaluate_slos",
+    "ingest_fleet_report",
+    "ingest_live_report",
     "ingest_manifest",
     "load_slo_specs",
     "merge_epochs",
     "quantile",
+    "recorded_ok",
     "render_incidents",
     "render_rows",
     "render_slo_report",

@@ -9,11 +9,14 @@ clock, vacancy / violation counters and message rates — the quantities the
 paper proves bounds for, live.  Each ring's runtime events stream into the
 run store through a :class:`~repro.observability.ingest.StoreSubscriber`
 on the supervisor's own bus, so a ``repro top`` session leaves queryable
-runs behind when it exits.
+runs behind when it exits (``top-<ring>-seed<seed>``, so sessions with
+other seeds keep their own rows).
 
 The same :func:`render_rows` renderer backs ``repro live status --watch``
-(rows built from recorded manifests instead of live monitors), so the two
-surfaces cannot drift apart.
+and ``repro fleet status`` (rows built from the run store instead of live
+monitors), so the surfaces cannot drift apart.  Every surface reads a
+ring's status off its one verdict, ``HealthMonitor.ok`` — live, or as
+recorded in the row.
 
 Two frontends share the async fleet loop: a curses screen (interactive
 terminals; ``q`` quits early) and a plain-text frame printer (pipes, CI,
@@ -26,7 +29,7 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.observability.ingest import StoreSubscriber
+from repro.observability.ingest import StoreSubscriber, recorded_ok
 from repro.observability.store import RunStore
 
 #: Column layout shared by ``repro top`` and ``live status --watch``.
@@ -65,16 +68,6 @@ class RingRow:
         snap = health.snapshot()
         epoch = health.current_epoch
         stabilized = epoch.stabilized_at is not None
-        final = len(health.epochs) - 1
-        breached = any(
-            v["epoch_index"] == final for v in health.guarantee_violations
-        )
-        if breached:
-            status = "BREACH"
-        elif stabilized:
-            status = "STABLE"
-        else:
-            status = "CONVERGING"
         return cls(
             name=name,
             algorithm=type(supervisor.algorithm).__name__,
@@ -92,38 +85,45 @@ class RingRow:
             vacancy_instants=health.vacancy_instants,
             violations=len(health.guarantee_violations),
             restarts=supervisor.total_restarts,
-            status=status,
+            status=_status(health.ok, stabilized, "CONVERGING"),
         )
 
     @classmethod
-    def from_live_report(cls, name: str, live: Dict[str, Any]) -> "RingRow":
-        """Build a row from a recorded ``extra.live`` manifest block."""
-        health = live.get("health") or {}
-        epochs = health.get("epochs") or [{}]
-        final = epochs[-1]
-        stabilized = bool(health.get("stabilized"))
-        violations = health.get("guarantee_violations") or []
-        breached = any(
-            v.get("epoch_index") == len(epochs) - 1 for v in violations
-        )
-        lo = health.get("post_stab_min_holders")
+    def from_run(
+        cls, name: str, run: Dict[str, Any], epochs: Sequence[Dict[str, Any]]
+    ) -> "RingRow":
+        """Build a row from a recorded run-store row and its epochs.
+
+        The census column shows the post-stabilization minimum the
+        subscriber recorded with the verdict.
+        """
+        extra = run.get("extra") if isinstance(run.get("extra"), dict) else {}
+        final = epochs[-1] if epochs else {}
+        stabilized = bool(run.get("stabilized"))
         return cls(
             name=name,
-            algorithm=str(live.get("algorithm", "?")),
-            n=int(live.get("n") or 0),
-            holders=(),
-            census=lo,
+            algorithm=str(run.get("algorithm") or "?"),
+            n=int(run.get("n") or 0),
+            census=extra.get("post_stab_min_holders"),
             legitimate=stabilized or None,
             coherent=stabilized or None,
             epoch_label=str(final.get("label", "-")),
             clock=final.get("time_to_stabilize"),
             converging=not stabilized,
-            vacancy_instants=int(health.get("vacancy_instants") or 0),
-            violations=len(violations),
-            restarts=int(live.get("restarts") or 0),
-            status="BREACH" if breached
-            else ("STABLE" if stabilized else "FAIL"),
+            vacancy_instants=int(run.get("vacancy_instants") or 0),
+            violations=int(run.get("violations") or 0),
+            restarts=int(run.get("restarts") or 0),
+            status=_status(recorded_ok(run), stabilized, "FAIL"),
         )
+
+
+def _status(ok: Optional[bool], stabilized: bool, unstable: str) -> str:
+    """STABLE on the verdict; a stabilized ring that is not ``ok`` has a
+    guarantee breach in its final epoch (breaches are only audited after
+    stabilization)."""
+    if ok:
+        return "STABLE"
+    return "BREACH" if stabilized else unstable
 
 
 def _flag(value: Optional[bool]) -> str:
@@ -218,7 +218,8 @@ async def run_top_fleet(
         )
         if store is not None:
             subscriber = StoreSubscriber(
-                store, run_id=f"top-{spec.name}", source="top"
+                store, run_id=f"top-{spec.name}-seed{spec.seed}",
+                source="top",
             )
             supervisor.bus.subscribe(subscriber)
             subscribers.append(subscriber)

@@ -1,4 +1,8 @@
-"""Ingestion: the live bus subscriber and the manifest record.
+"""Ingestion: how every kind of run becomes rows of the run store.
+
+The :class:`~repro.observability.store.RunStore` is the one record a run
+leaves (besides an opt-in JSONL trace); this module owns every way into
+it.
 
 A :class:`StoreSubscriber` registers on a
 :class:`~repro.telemetry.session.TelemetrySession` (with ``detail=False``,
@@ -20,22 +24,31 @@ runtime/wire_fallback     disturbance row (mixed wire-format peer seen)
 runtime/epoch_open        ``epochs`` row; open/extend the incident
 runtime/epoch_stabilized  stabilize the epoch row; resolve the incident
 runtime/violation         escalate/open a guarantee-breach incident
-runtime/run_end           finalize the run (health block, metric samples)
+runtime/run_end           finalize the run: health columns, the verdict
+                          ``ok`` and the census band in ``extra``, metric
+                          samples
 ========================  ====================================================
 
 Everything else on the bus is ignored with one dict lookup, which is what
 keeps the attached-subscriber overhead on the engine step loop inside the
 < 5 % budget.
 
-Registry experiments and fuzz campaigns publish no runtime lifecycle
-events, so their row comes from their manifest instead:
-:func:`ingest_manifest` records it at the moment the manifest is written.
+Runs that finish before they are recorded go through one writer each:
+
+* :func:`ingest_live_report` — a finished live ring's report (a chaos-lab
+  cell, a ring of a sharded fleet): its row, epochs and scripted faults;
+* :func:`ingest_fleet_report` — one ``fleet`` row per fleet invocation;
+* :func:`ingest_manifest` — registry experiments and fuzz campaigns, which
+  publish no runtime lifecycle events: their run record (what ran, phases,
+  descriptors, trace, metrics) becomes the row.
+
+:func:`recorded_ok` reads a row's verdict back.
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.observability.incidents import IncidentTracker
 from repro.observability.slo import disturbance_class
@@ -46,6 +59,10 @@ from repro.telemetry.events import Event
 SAMPLED_COUNTER_PREFIXES = ("live_", "messages_", "timer_")
 
 
+def _utcnow() -> str:
+    return _time.strftime("%Y-%m-%dT%H:%M:%SZ", _time.gmtime())
+
+
 class StoreSubscriber:
     """Streams one telemetry session's events into a :class:`RunStore`.
 
@@ -54,9 +71,9 @@ class StoreSubscriber:
     store:
         The destination store (not closed by this subscriber).
     run_id:
-        Public id for the next runtime run (CLI passes its manifest run
-        id so the store row and the ``runs/<id>/`` directory line up);
-        auto-derived from the ``run_start`` payload when None.
+        Public id for the next runtime run (the CLI and the fleet layer
+        name their rows); auto-derived from the ``run_start`` payload
+        when None.
     session:
         The telemetry session, consulted at ``run_end`` for metric totals
         to persist as samples.
@@ -76,6 +93,7 @@ class StoreSubscriber:
         self.source = source
         self._pending_run_id = run_id
         self._run_db_id: Optional[int] = None
+        self._extra: Dict[str, Any] = {}
         self._incidents: Optional[IncidentTracker] = None
         self._violations = 0
         self.runs_ingested = 0
@@ -100,6 +118,9 @@ class StoreSubscriber:
         )
         self._pending_run_id = None
         self._violations = 0
+        self._extra = {"initial": p.get("initial"),
+                       "timer_interval": p.get("timer_interval"),
+                       "chaos": p.get("chaos")}
         self._run_db_id = self.store.insert_run(
             run_id,
             kind="live",
@@ -108,13 +129,9 @@ class StoreSubscriber:
             k=p.get("K"),
             seed=p.get("seed"),
             transport=p.get("transport"),
-            started_utc=_time.strftime(
-                "%Y-%m-%dT%H:%M:%SZ", _time.gmtime()
-            ),
+            started_utc=_utcnow(),
             source=self.source,
-            extra={"initial": p.get("initial"),
-                   "timer_interval": p.get("timer_interval"),
-                   "chaos": p.get("chaos")},
+            extra=self._extra,
         )
         self.store.add_epoch(
             self._run_db_id, idx=0, label="boot", cls="boot",
@@ -204,6 +221,7 @@ class StoreSubscriber:
                 violations=len(health.get("guarantee_violations") or ())
                 or self._violations,
                 restarts=health.get("restarts"),
+                extra={**self._extra, **_verdict(health)},
             )
         else:
             columns.update(violations=self._violations)
@@ -257,16 +275,143 @@ _RUNTIME_HANDLERS = {
 }
 
 
+def _verdict(health: Mapping[str, Any]) -> Dict[str, Any]:
+    """The ``extra`` keys a health block contributes: the recorded verdict
+    (``HealthMonitor.ok``) and the post-stabilization census band."""
+    return {
+        "ok": bool(health.get("ok")),
+        "post_stab_min_holders": health.get("post_stab_min_holders"),
+        "post_stab_max_holders": health.get("post_stab_max_holders"),
+    }
+
+
+def recorded_ok(row: Mapping[str, Any]) -> Optional[bool]:
+    """A run row's recorded verdict: ``extra.ok``, None when none was
+    recorded (experiment rows, runs cut short before ``run_end``)."""
+    extra = row.get("extra")
+    return extra.get("ok") if isinstance(extra, dict) else None
+
+
+def ingest_live_report(
+    store: RunStore,
+    run_id: str,
+    report: Mapping[str, Any],
+    source: str,
+    kind: str = "live",
+    **columns: Any,
+) -> int:
+    """Record one finished live ring from its report; returns the db id.
+
+    One ``runs`` row (identity and health columns from the report, the
+    verdict in ``extra``), one ``epochs`` row per health epoch, and one
+    ``disturbances`` row per op of a played chaos ``script`` block.
+    ``columns`` override or add row columns (a chaos cell's campaign tag,
+    its own ``extra``).  Sharded fleets and chaos-lab cells, whose rings
+    ran where no subscriber could stream them, are written here.
+    """
+    health = report.get("health") or {}
+    row: Dict[str, Any] = dict(
+        algorithm=report.get("algorithm"),
+        n=report.get("n"),
+        k=report.get("K"),
+        seed=report.get("seed"),
+        transport=report.get("transport"),
+        started_utc=_utcnow(),
+        wall_seconds=report.get("wall_clock"),
+        stabilized=int(bool(health.get("stabilized"))),
+        vacancy_instants=health.get("vacancy_instants"),
+        violations=len(health.get("guarantee_violations") or ()),
+        restarts=report.get("restarts"),
+        source=source,
+        extra=_verdict(health),
+    )
+    row.update(columns)
+    run_db_id = store.insert_run(run_id, kind=kind, **row)
+    for idx, epoch in enumerate(health.get("epochs") or ()):
+        label = str(epoch.get("label", "?"))
+        store.add_epoch(
+            run_db_id,
+            idx=idx,
+            label=label,
+            cls=disturbance_class(label),
+            started_at=float(epoch.get("started_at", 0.0)),
+            stabilized_at=epoch.get("stabilized_at"),
+        )
+    for op in (report.get("script") or {}).get("ops", ()):
+        store.add_disturbance(
+            run_db_id,
+            at=float(op.get("at", 0.0)),
+            kind=str(op.get("kind", "?")),
+            duration=float(op.get("duration", 0.0)),
+            params=op.get("params") or None,
+        )
+    return run_db_id
+
+
+def ingest_fleet_report(
+    store: RunStore,
+    run_id: str,
+    report: Mapping[str, Any],
+    rings: bool = False,
+) -> int:
+    """Record one fleet invocation as a ``fleet`` row; returns the db id.
+
+    The row's ``extra`` holds the aggregate report (everything but the
+    per-ring reports) and the fleet's verdict: every ring ``ok``.  The
+    health columns stay NULL, so SLOs count each ring once, through its
+    own row.  With ``rings`` the ring rows are written too, named
+    ``<run_id>/<ring>`` like the rows an in-process fleet streams — a
+    sharded fleet's workers open no store, so its parent records them
+    from the merged report.
+    """
+    ring_reports = report.get("ring_reports") or {}
+    first = next(iter(ring_reports.values()), {})
+    aggregate = {k: v for k, v in report.items() if k != "ring_reports"}
+    aggregate["ok"] = all(
+        (ring.get("health") or {}).get("ok") for ring in ring_reports.values()
+    )
+    run_db_id = store.insert_run(
+        run_id,
+        kind="fleet",
+        algorithm=first.get("algorithm"),
+        n=first.get("n"),
+        k=first.get("K"),
+        seed=first.get("seed"),
+        transport=report.get("transport"),
+        started_utc=_utcnow(),
+        wall_seconds=report.get("wall_clock"),
+        stabilized=int(report.get("stabilized_rings") == report.get("rings")),
+        source="fleet",
+        extra=aggregate,
+    )
+    if rings:
+        for name, ring in sorted(ring_reports.items()):
+            ingest_live_report(store, f"{run_id}/{name}", ring, source="fleet")
+    store.flush()
+    return run_db_id
+
+
+#: Record keys stored as ``runs`` columns rather than in ``extra``.
+_RECORD_COLUMNS = ("experiment_id", "created_utc", "wall_seconds", "extra")
+
+
 def ingest_manifest(
     store: RunStore, manifest: Dict[str, Any], source: str
 ) -> None:
-    """Record one experiment or fuzz-campaign manifest as a ``runs`` row.
+    """Record one experiment or fuzz campaign's run record as a ``runs`` row.
 
-    The row (kind ``experiment``) takes its algorithm, ``n``, ``K`` and
-    seed from the manifest's first run descriptor, and every non-zero
-    counter total becomes one sample.  Recording a ``run_id`` again
-    supersedes the old row and its samples.
+    ``manifest`` is :func:`~repro.telemetry.manifest.build_manifest`'s
+    record.  The row (kind ``experiment``) takes its algorithm, ``n``,
+    ``K`` and seed from the first run descriptor.  Its ``extra`` holds the
+    rest of the record — command, package, python and platform, phases,
+    run descriptors, ``events_total``, the trace file and truncation, the
+    metrics snapshot — plus the record's own ``extra`` keys (an
+    experiment's ``fast``/``title``/``match``, a fuzz ``campaign``
+    summary).  Every non-zero counter total becomes one sample.
+    Recording a ``run_id`` again supersedes the old row and its samples.
     """
+    extra = {k: v for k, v in manifest.items() if k not in _RECORD_COLUMNS}
+    extra.update(manifest.get("extra") or {})
     descriptors = manifest.get("runs") or []
     first = descriptors[0] if descriptors else {}
     run_db_id = store.insert_run(
@@ -279,8 +424,7 @@ def ingest_manifest(
         started_utc=manifest.get("created_utc"),
         wall_seconds=manifest.get("wall_seconds"),
         source=source,
-        extra={"command": manifest.get("command"),
-               "package": manifest.get("package")},
+        extra=extra,
     )
     wall = float(manifest.get("wall_seconds") or 0.0)
     samples = []
@@ -297,4 +441,11 @@ def ingest_manifest(
     store.flush()
 
 
-__all__ = ["SAMPLED_COUNTER_PREFIXES", "StoreSubscriber", "ingest_manifest"]
+__all__ = [
+    "SAMPLED_COUNTER_PREFIXES",
+    "StoreSubscriber",
+    "ingest_fleet_report",
+    "ingest_live_report",
+    "ingest_manifest",
+    "recorded_ok",
+]

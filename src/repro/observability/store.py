@@ -1,14 +1,19 @@
-"""The persistent run store: a sqlite index over every run the repo emits.
+"""The persistent run store: the one record of every run the repo emits.
 
-Telemetry so far has been file-shaped — a ``manifest.json`` + ``trace.jsonl``
-pair per run directory — which answers "what happened in *this* run" but not
-the operator questions ("p99 time-to-restabilize across last night's chaos
-campaigns", "which runs ever dropped the token").  The :class:`RunStore`
-keeps one sqlite database (canonically ``runs/store.sqlite``) with these
+Every entry point — ``repro run``/``report``/``fuzz run``, ``live
+run|chaos``, ``fleet run``, ``top``, chaos campaigns and sweeps — records
+its runs here and nowhere else (an opt-in JSONL event trace and a sweep's
+``cells.jsonl`` log are the only files beside it).  One sqlite database
+(canonically ``runs/store.sqlite``) answers both "what happened in *this*
+run" and the operator questions ("p99 time-to-restabilize across last
+night's chaos campaigns", "which runs ever dropped the token").  Its
 tables:
 
-* ``runs`` — one row per run: live deployments, chaos-campaign cells,
-  registry experiments, fuzz campaigns;
+* ``runs`` — one row per run: live deployments (kind ``live``; a fleet's
+  rings are ``<fleet id>/<ring>``), fleet invocations (``fleet``, the
+  aggregate report), chaos-campaign cells (``chaos-cell``), registry
+  experiments and fuzz campaigns (``experiment``, their run record).
+  The run's verdict, ``ok``, sits in ``extra``;
 * ``epochs`` — one row per disturbance-to-stabilization interval of a run
   (the :class:`~repro.runtime.health.Epoch` record, plus the disturbance
   class extracted from its label);
@@ -28,10 +33,11 @@ tables:
 
 Rows arrive either **live** — the
 :class:`~repro.observability.ingest.StoreSubscriber` attached to a telemetry
-session — or **at manifest write**: an experiment or fuzz campaign records
-its manifest with :func:`~repro.observability.ingest.ingest_manifest` the
-moment the manifest is written.  Reads power ``repro runs list|show|query``,
-``repro slo report`` and the incident listing.
+session — or **when the run finishes**, through the other writers of
+:mod:`repro.observability.ingest` (a live report, a fleet report, an
+experiment's run record).  Reads power ``repro runs list|show|query``,
+``repro live status``, ``repro fleet status``, ``repro slo report`` and
+the incident listing.
 
 Writes are buffered: the store commits every :data:`COMMIT_EVERY`
 mutations and on :meth:`RunStore.flush`/:meth:`RunStore.close`, so a
@@ -58,7 +64,7 @@ SCHEMA_VERSION = 3
 #: transactions; ``flush()`` forces the tail out).
 COMMIT_EVERY = 64
 
-#: Default on-disk location, next to the per-run JSONL directories.
+#: Default on-disk location, next to the per-run JSONL trace directories.
 DEFAULT_STORE_PATH = os.path.join("runs", "store.sqlite")
 
 _SCHEMA = """
@@ -307,8 +313,8 @@ class RunStore:
         An existing ``run_id`` is superseded: its db id is returned, the
         provided columns overwrite the stale ones and its child rows
         (epochs, disturbances, samples, incidents) are dropped, so
-        re-running a named deployment or re-importing a manifest updates
-        in place instead of duplicating.
+        re-running a named deployment or experiment updates in place
+        instead of duplicating.
         """
         unknown = set(columns) - set(RUN_COLUMNS)
         if unknown:

@@ -37,6 +37,7 @@ from repro.runtime.fleet import (
     FleetSupervisor,
     RingSpec,
     default_specs,
+    fleet_id,
     render_fleet_report,
     run_fleet,
     run_fleet_sharded,
@@ -97,6 +98,7 @@ __all__ = [
     "decode_message",
     "default_specs",
     "encode_message",
+    "fleet_id",
     "install_uvloop",
     "live_chaos",
     "live_run",

@@ -26,9 +26,10 @@ override the derived values; a key the lowering does not read is refused.
 
 A :class:`ChaosScript` is a sorted list of ops: a window op opens a fault
 on the :class:`~repro.runtime.transport.ChaosTransport` for ``duration``
-seconds, a point op fires once against the supervisor (the same faults
-:mod:`repro.faults.injection` injects into the DES models; corrupted
-values come from the supervisor's seeded fault RNG, so runs replay).  The
+seconds, a point op fires once against the supervisor (the node-state
+and cache corruptions the DES models take through ``corrupt_node`` and
+``corrupt_cache``; corrupted values come from the supervisor's seeded
+fault RNG, so runs replay).  The
 :class:`ChaosDirector` plays a script against a running
 :class:`~repro.runtime.supervisor.RingSupervisor`, notifying the health
 monitor at every disturbance boundary so "time to re-stabilize" is
@@ -126,7 +127,7 @@ class ChaosOp:
             raise ValueError(f"{self.kind} op needs a positive duration")
 
     def to_json(self) -> dict:
-        """JSON-able form (embedded in run manifests)."""
+        """JSON-able form (embedded in run reports)."""
         return {"at": self.at, "kind": self.kind,
                 "duration": self.duration, "params": dict(self.params)}
 
@@ -159,7 +160,7 @@ class ChaosScript:
         return self.last_disturbance + self.settle
 
     def to_json(self) -> dict:
-        """JSON-able form (embedded in run manifests)."""
+        """JSON-able form (embedded in run reports)."""
         return {"name": self.name, "settle": self.settle,
                 "ops": [op.to_json() for op in self.ops]}
 

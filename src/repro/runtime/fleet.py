@@ -17,6 +17,10 @@ watchdog, chaos director, health monitor, telemetry bus and (optional)
 run-store subscriber — the fleet layer only owns transport multiplexing,
 lifecycle, optional load generation and the aggregate report.
 
+A fleet is recorded under :func:`fleet_id`: its ring rows are named
+``<fleet id>/<ring>``, and ``repro fleet run`` adds one ``fleet`` row
+holding the aggregate report.
+
 Entry points: :func:`run_fleet` (one process), :func:`run_fleet_sharded`
 (ring partitions across a ``ProcessPoolExecutor``), and ``repro fleet
 run|status`` on the CLI.
@@ -95,6 +99,18 @@ def default_specs(
     ]
 
 
+def fleet_id(specs: Sequence[RingSpec]) -> str:
+    """The fleet's run id, ``fleet-<alg>-r<rings>-n<n>-seed<seed>``.
+
+    Read off the first ring (the base seed of :func:`default_specs`), so
+    fleets with different seeds or sizes never share rows; ring ``name``
+    is recorded as ``<fleet id>/<name>``.
+    """
+    first = specs[0]
+    return (f"fleet-{first.algorithm}-r{len(specs)}-n{first.n}"
+            f"-seed{first.seed}")
+
+
 class FleetSupervisor:
     """Boots, runs and drains N rings over one shared transport pool.
 
@@ -113,8 +129,7 @@ class FleetSupervisor:
     store:
         Optional :class:`~repro.observability.store.RunStore`; each ring
         gets its own :class:`~repro.observability.ingest.StoreSubscriber`
-        (run ids ``fleet-<name>``), so ``repro top``-style tooling sees
-        fleet runs too.
+        (run ids ``<fleet id>/<name>``, see :func:`fleet_id`).
     """
 
     def __init__(
@@ -141,6 +156,7 @@ class FleetSupervisor:
             if transport == "mux-udp" else None
         )
         self.store = store
+        self.run_id = fleet_id(self.specs)
         self.supervisors: Dict[str, RingSupervisor] = {}
         self.loadgens: Dict[str, LoadGenerator] = {}
         self.load_reports: Dict[str, dict] = {}
@@ -168,7 +184,8 @@ class FleetSupervisor:
             from repro.observability.ingest import StoreSubscriber
 
             subscriber = StoreSubscriber(
-                self.store, run_id=f"fleet-{spec.name}", source="fleet"
+                self.store, run_id=f"{self.run_id}/{spec.name}",
+                source="fleet",
             )
             supervisor.bus.subscribe(subscriber)
             self._subscribers.append(subscriber)
@@ -351,7 +368,8 @@ def _shard_worker(payload: str) -> str:
         stabilize_timeout=args["stabilize_timeout"],
         use_uvloop=args["use_uvloop"],
         # No run store inside shard workers: concurrent sqlite writers
-        # would serialize on the database lock and skew the fleet.
+        # would serialize on the database lock and skew the fleet.  The
+        # parent records the rings from the merged report.
         store_path=None,
     )
     report["worker_pid"] = os.getpid()
@@ -466,6 +484,7 @@ __all__ = [
     "FleetSupervisor",
     "RingSpec",
     "default_specs",
+    "fleet_id",
     "render_fleet_report",
     "run_fleet",
     "run_fleet_sharded",

@@ -11,8 +11,10 @@ handlers, plain pytest functions) need no event-loop plumbing:
   return the report (including ``health.time_to_restabilize``).
 
 Both build the algorithm from its name the same way the conformance CLI
-does, and both leave manifest writing to the caller — the report dict is
-shaped to drop into ``build_manifest(extra={"live": report})``.
+does, and both leave recording to the caller: ``repro live run|chaos``
+attach a :class:`~repro.observability.ingest.StoreSubscriber` to the
+telemetry session, which writes the run store's row as the ring runs.
+The report's ``health.ok`` is the run's verdict.
 """
 
 from __future__ import annotations

@@ -313,10 +313,15 @@ class HealthMonitor:
         return self.current_epoch.time_to_stabilize
 
     def to_json(self) -> dict:
-        """The report's ``health`` block (epochs, census, violations)."""
+        """The report's ``health`` block (epochs, census, violations).
+
+        ``ok`` is the run's one verdict (:attr:`ok`): the CLI exit codes,
+        the run store's rows and the status commands all read it.
+        """
         return {
             "checks": self.checks,
             "stabilized": self.stabilized,
+            "ok": self.ok,
             "graceful_handover": self.guaranteed_throughout,
             "vacancy_instants": self.vacancy_instants,
             "epochs": [e.to_json() for e in self.epochs],

@@ -13,8 +13,9 @@ The supervisor owns everything one deployment needs:
   state change, delivery and timer fire;
 * **telemetry** — a structured event bus (layer ``runtime``) attached to
   the ambient :mod:`repro.telemetry` session, per-node metrics flushed
-  into the session registry at teardown, and a run-report dict designed
-  to land in a run manifest's ``extra`` field.
+  into the session registry at teardown, and a run-report dict whose
+  ``health`` block (with the verdict ``ok``) closes the run's row in the
+  run store.
 
 Restart semantics are deliberately brutal: a restarted node comes back
 with an *arbitrary* (seeded-random) state and self-referential caches —
@@ -32,7 +33,6 @@ import random
 from typing import Any, Dict, List, Optional, Union
 
 from repro.algorithms.base import RingAlgorithm
-from repro.faults.injection import random_local_state
 from repro.messagepassing.links import DelayModel, FixedDelay
 from repro.runtime.chaos import ChaosDirector, ChaosScript
 from repro.runtime.health import HealthMonitor
@@ -354,7 +354,7 @@ class RingSupervisor:
             self.backoff_base * (2 ** (consecutive - 1)), self.backoff_cap
         )
         self._next_restart_at[i] = loop.time() + backoff
-        state = random_local_state(self.algorithm, self.fault_rng)
+        state = self.algorithm.random_local_state(self.fault_rng)
         server = self._make_server(i, state, None)
         server.restarts = restarts
         self.servers[i] = server
@@ -388,7 +388,7 @@ class RingSupervisor:
     def corrupt_state(self, i: int, value: Any = None) -> None:
         """Transient fault: overwrite node ``i``'s local state."""
         if value is None:
-            value = random_local_state(self.algorithm, self.fault_rng)
+            value = self.algorithm.random_local_state(self.fault_rng)
         node = self.servers[i].node
         old = node.state
         node.state = value
@@ -400,7 +400,7 @@ class RingSupervisor:
     def corrupt_cache(self, i: int, neighbor: int, value: Any = None) -> None:
         """Transient fault: overwrite one cache entry of node ``i``."""
         if value is None:
-            value = random_local_state(self.algorithm, self.fault_rng)
+            value = self.algorithm.random_local_state(self.fault_rng)
         node = self.servers[i].node
         if neighbor not in node.cache:
             raise ValueError(f"node {i} has no cache entry for {neighbor}")
@@ -493,7 +493,13 @@ class RingSupervisor:
 
     # -- reporting -----------------------------------------------------------
     def report(self) -> dict:
-        """JSON-able run report (lands in the manifest's ``extra.live``)."""
+        """JSON-able run report.
+
+        Its ``health`` block also rides on the ``run_end`` event, which is
+        how the run store's row gets its health columns and verdict; a
+        finished report can be recorded with
+        :func:`~repro.observability.ingest.ingest_live_report`.
+        """
         per_node = {str(s.index): s.stats() for s in self.servers}
         transport_stats: Dict[str, Any] = (
             self.chaos.stats() if self.chaos is not None

@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics registry, event bus, traces and manifests.
+"""Unified telemetry: metrics registry, event bus, traces and run records.
 
 The observability layer shared by both execution models (see
 ``docs/TELEMETRY.md``):
@@ -12,8 +12,9 @@ The observability layer shared by both execution models (see
   instrumented code consults (``with telemetry_session(...)``);
 * :mod:`repro.telemetry.export` — incremental JSONL trace writing and
   replay;
-* :mod:`repro.telemetry.manifest` — the ``manifest.json`` reproducibility
-  record written next to every instrumented experiment result;
+* :mod:`repro.telemetry.manifest` — the reproducibility record of an
+  instrumented experiment or fuzz run, which the run store keeps as the
+  run's row;
 * :mod:`repro.telemetry.stats` — ``python -m repro stats`` trace replay;
 * :mod:`repro.telemetry.progress` — live steps/sec + token-census
   emission for long sweeps.
@@ -26,12 +27,7 @@ from repro.telemetry.export import (
     read_trace,
     write_events,
 )
-from repro.telemetry.manifest import (
-    build_manifest,
-    manifest_summary,
-    read_manifest,
-    write_manifest,
-)
+from repro.telemetry.manifest import build_manifest
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
@@ -54,9 +50,6 @@ __all__ = [
     "read_trace",
     "write_events",
     "build_manifest",
-    "manifest_summary",
-    "read_manifest",
-    "write_manifest",
     "Counter",
     "Gauge",
     "Histogram",

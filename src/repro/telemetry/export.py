@@ -9,7 +9,7 @@ the run it is observing.
 
 Long sweeps can emit millions of engine step events; the writer therefore
 accepts a ``max_events`` cap.  Truncation is *never silent*: the writer
-remembers how many events were dropped and the run manifest records it.
+remembers how many events were dropped and the run record keeps it.
 """
 
 from __future__ import annotations

@@ -1,27 +1,27 @@
-"""Run manifests: the reproducibility record written next to results.
+"""Run records: what ran and how, for the run store.
 
-Every instrumented experiment run writes a ``manifest.json`` beside its
-outputs capturing *what ran and how*: the package version, the algorithm /
-ring-size / daemon / seed descriptors observed on the event bus, the
-wall-clock phase splits from :class:`~repro.analysis.profiling.Stopwatch`,
-a full metrics snapshot and a pointer to the JSONL trace.  Any table in
-EXPERIMENTS.md can then be regenerated from its manifest alone:
+An instrumented experiment run or fuzz campaign is summarised by one
+record: the package version, the algorithm / ring-size / daemon / seed
+descriptors observed on the event bus, the wall-clock phase splits from
+:class:`~repro.analysis.profiling.Stopwatch`, a full metrics snapshot and
+the path of the JSONL trace (when one was asked for).
+:func:`~repro.observability.ingest.ingest_manifest` records it as the
+run's row in the sqlite run store; ``repro runs show <id>`` prints it.
+Any table in EXPERIMENTS.md can then be regenerated from its row alone:
 ``python -m repro run <experiment_id>`` with the recorded version
 reproduces it bit-for-bit (experiments are seeded).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import platform
 import sys
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.telemetry.session import TelemetrySession
 
-#: Manifest schema version; bump on incompatible field changes.
+#: Record schema version; bump on incompatible field changes.
 MANIFEST_SCHEMA = 1
 
 
@@ -39,7 +39,7 @@ def build_manifest(
     trace_file: Optional[str] = None,
     extra: Optional[dict] = None,
 ) -> dict:
-    """Assemble a JSON-able manifest from a finished session.
+    """Assemble a JSON-able run record from a finished session.
 
     Parameters
     ----------
@@ -52,7 +52,7 @@ def build_manifest(
     phases:
         Wall-clock splits, typically ``Stopwatch.splits``.
     trace_file:
-        File name of the JSONL trace written next to the manifest.
+        Path of the run's JSONL trace (None when none was written).
     extra:
         Free-form additions (verdicts, parameters).
     """
@@ -82,50 +82,3 @@ def build_manifest(
     if extra:
         manifest["extra"] = dict(extra)
     return manifest
-
-
-def write_manifest(path: str, manifest: dict) -> str:
-    """Write a manifest as pretty-printed JSON; returns ``path``."""
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=False, default=str)
-        fh.write("\n")
-    return path
-
-
-def read_manifest(path: str) -> dict:
-    """Load a manifest written by :func:`write_manifest`."""
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def manifest_summary(manifest: dict) -> List[str]:
-    """Human-readable one-liners for a loaded manifest."""
-    lines = [
-        f"experiment: {manifest.get('experiment_id')}",
-        f"command:    {manifest.get('command')}",
-        f"version:    repro {manifest.get('package', {}).get('version')}",
-        f"created:    {manifest.get('created_utc')}",
-        f"wall time:  {manifest.get('wall_seconds', 0.0):.2f}s",
-    ]
-    for phase in manifest.get("phases", ()):
-        lines.append(f"  phase {phase['label']}: {phase['seconds']:.3f}s")
-    for run in manifest.get("runs", ()):
-        desc = {k: v for k, v in run.items()
-                if k not in ("layer", "kind", "time")}
-        lines.append(f"  {run.get('layer')}/{run.get('kind')}: {desc}")
-    trace = manifest.get("trace", {})
-    if trace.get("file"):
-        suffix = (
-            f" (TRUNCATED, {trace['dropped_events']} dropped)"
-            if trace.get("truncated")
-            else ""
-        )
-        lines.append(f"trace:      {trace['file']}{suffix}")
-    return lines
-
-
-def default_run_dir(base: str, experiment_id: str) -> str:
-    """``<base>/<experiment_id>``, created if missing."""
-    path = os.path.join(base, experiment_id)
-    os.makedirs(path, exist_ok=True)
-    return path

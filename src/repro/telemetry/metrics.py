@@ -7,7 +7,7 @@ telemetry accumulates — ``steps_total{daemon=...}``,
 later subsystems add.  The design follows the Prometheus client model
 (metric name + label set -> numeric series) but stays dependency-free and
 in-process: a registry is created per telemetry session and snapshotted
-into the run manifest.
+into the run record.
 
 Disabled registries hand out shared null metrics whose mutators are
 no-ops, so instrumented hot loops pay one attribute call when telemetry is
@@ -48,7 +48,7 @@ class Metric:
         raise NotImplementedError
 
     def snapshot(self) -> List[dict]:
-        """JSON-able rows for manifest export."""
+        """JSON-able rows for the run record."""
         return [
             {"labels": dict(k), "value": v} for k, v in sorted(self.series())
         ]

@@ -3,7 +3,7 @@
 A :class:`TelemetrySession` bundles the three telemetry primitives — a
 :class:`~repro.telemetry.metrics.MetricsRegistry`, a master
 :class:`~repro.telemetry.events.EventBus` and an optional JSONL trace
-writer — plus bookkeeping (run descriptors, wall-clock) the run manifest
+writer — plus bookkeeping (run descriptors, wall-clock) the run record
 is built from.
 
 Sessions are installed with the :func:`telemetry_session` context manager
@@ -62,7 +62,7 @@ class TelemetrySession:
             else None
         )
         #: ``run_start`` / ``net_start`` payloads, in observation order —
-        #: the manifest's record of what was simulated (algorithm, n, K,
+        #: the run record of what was simulated (algorithm, n, K,
         #: daemon, seeds).
         self.run_descriptors: List[dict] = []
         self.events_total = 0
@@ -133,7 +133,7 @@ class TelemetrySession:
 
         Hot loops batch their counter updates regardless, but only publish
         per-step ``engine.step`` events when something will actually observe
-        them — a metrics/manifest-only session skips the bus fan-out, which
+        them — a metrics-only session skips the bus fan-out, which
         is what keeps telemetry-on runs within a few percent of
         telemetry-off.
         """

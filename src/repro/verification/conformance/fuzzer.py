@@ -15,7 +15,7 @@ mode; any divergence is captured as a :class:`~.witness.Witness`
 directory.  Campaigns emit telemetry like any other run: ``fuzz``-layer
 bus events, labelled counters (``fuzz_trials_total{algorithm,daemon}``,
 ``fuzz_divergences_total``, ``fuzz_steps_total``) and — via the CLI — a
-run manifest next to the JSONL trace.
+run-store row beside the JSONL trace.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.daemons.distributed import (
     SynchronousDaemon,
 )
 from repro.daemons.weighted import WeightedUnfairDaemon
-from repro.faults.injection import random_local_state
 from repro.telemetry.session import current_session
 from repro.verification.conformance.oracle import ConformanceReport, LockstepOracle
 from repro.verification.conformance.shrink import shrink_witness
@@ -118,7 +117,7 @@ def generate_fault_script(
     Channel ops target real directed ring edges (CST message recipients);
     cache ops target real readable-neighbor cache entries; state ops carry
     a concrete domain value from
-    :func:`repro.faults.injection.random_local_state`.
+    :meth:`~repro.algorithms.base.RingAlgorithm.random_local_state`.
     """
     n = algorithm.n
     ring = algorithm.ring
@@ -143,14 +142,14 @@ def generate_fault_script(
                 "kind": "corrupt-cache",
                 "node": node,
                 "neighbor": neighbor,
-                "value": _jsonable(random_local_state(algorithm, rng)),
+                "value": _jsonable(algorithm.random_local_state(rng)),
             })
         else:
             ops.append({
                 "step": step,
                 "kind": "corrupt-state",
                 "process": rng.randrange(n),
-                "value": _jsonable(random_local_state(algorithm, rng)),
+                "value": _jsonable(algorithm.random_local_state(rng)),
             })
     ops.sort(key=lambda op: op["step"])
     return ops
@@ -252,7 +251,7 @@ class CampaignResult:
         )
 
     def to_json(self) -> dict:
-        """JSON-able campaign summary (embedded in run manifests)."""
+        """JSON-able campaign summary (recorded in the run's store row)."""
         return {
             "seed": self.seed,
             "trials": self.trials,

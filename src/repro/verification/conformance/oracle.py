@@ -36,7 +36,6 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import RingAlgorithm
 from repro.daemons.base import Daemon
-from repro.faults.injection import corrupt_process_to
 from repro.messagepassing.projection import SynchronousCSTProjection
 
 #: ``algorithm-name -> (min tokens, max tokens)`` on legitimate
@@ -249,8 +248,8 @@ class LockstepOracle:
             kind = op["kind"]
             if kind == "corrupt-state":
                 value = _decode_state(op["value"])
-                config = corrupt_process_to(
-                    alg, config, int(op["process"]), value
+                config = alg.corrupt_process_to(
+                    config, int(op["process"]), value
                 )
                 kernel.load(config)
                 if projection is not None:

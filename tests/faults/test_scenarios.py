@@ -1,63 +1,57 @@
-"""Unit tests for composed fault scenarios."""
+"""Recovery from transient faults in the state-reading model."""
 
-import pytest
+import random
 
 from repro.core.ssrmin import SSRmin
 from repro.daemons.distributed import RandomSubsetDaemon
-from repro.faults.scenarios import FaultScenario, burst_fault, periodic_faults
+from repro.simulation.convergence import converge
+from repro.simulation.initial import perturbed_legitimate
+
+
+def _periodic_recoveries(alg, daemon, rounds, seed):
+    """Steps back to legitimacy after each of ``rounds`` single faults
+    hitting the running ring."""
+    rng = random.Random(seed)
+    config = perturbed_legitimate(alg, rng, faults=0)
+    steps = []
+    for _ in range(rounds):
+        config = alg.corrupt_process_to(
+            config, rng.randrange(alg.n), alg.random_local_state(rng))
+        result = converge(alg, daemon, config)
+        assert result.converged
+        steps.append(result.steps)
+        config = result.final_config
+    return steps
 
 
 class TestBurstFault:
     def test_single_burst_recovers(self):
         alg = SSRmin(5, 6)
-        result = burst_fault(alg, RandomSubsetDaemon(seed=0), faults=3, seed=0)
-        assert len(result.records) == 1
-        assert result.records[0].corrupted_processes == 3
-        assert result.records[0].recovery_steps >= 0
+        config = perturbed_legitimate(alg, random.Random(0), faults=3)
+        result = converge(alg, RandomSubsetDaemon(seed=0), config)
+        assert result.converged
+        assert alg.is_legitimate(result.final_config)
 
     def test_recovery_within_quadratic_budget(self):
         alg = SSRmin(6, 7)
         for seed in range(5):
-            result = burst_fault(alg, RandomSubsetDaemon(seed=seed),
-                                 faults=6, seed=seed)
-            assert result.max_recovery <= 10 * 36 + 100
+            config = perturbed_legitimate(alg, random.Random(seed), faults=6)
+            result = converge(alg, RandomSubsetDaemon(seed=seed), config)
+            assert result.converged
+            assert result.steps <= 10 * 36 + 100
 
 
 class TestPeriodicFaults:
     def test_rounds_counted(self):
         alg = SSRmin(4, 5)
-        result = periodic_faults(alg, RandomSubsetDaemon(seed=1), rounds=5,
-                                 seed=1)
-        assert len(result.records) == 5
-
-    def test_availability_between_zero_and_one(self):
-        alg = SSRmin(4, 5)
-        result = periodic_faults(alg, RandomSubsetDaemon(seed=2), rounds=8,
-                                 seed=2)
-        assert 0.0 <= result.availability <= 1.0
-        assert result.total_steps > 0
+        steps = _periodic_recoveries(alg, RandomSubsetDaemon(seed=1),
+                                     rounds=5, seed=1)
+        assert len(steps) == 5
 
     def test_single_fault_recovery_fast(self):
         """A single corrupted process recovers much faster than the worst
         case — typically within a lap or two."""
         alg = SSRmin(6, 7)
-        result = periodic_faults(alg, RandomSubsetDaemon(seed=3), rounds=10,
-                                 seed=3)
-        assert result.max_recovery <= 6 * alg.n * alg.n
-
-
-class TestFaultScenario:
-    def test_explicit_initial(self):
-        alg = SSRmin(4, 5)
-        scenario = FaultScenario(alg, RandomSubsetDaemon(seed=4),
-                                 faults_per_injection=1, injections=2, seed=4)
-        result = scenario.run(initial=alg.initial_configuration())
-        assert len(result.records) == 2
-
-    def test_records_sequenced(self):
-        alg = SSRmin(4, 5)
-        scenario = FaultScenario(alg, RandomSubsetDaemon(seed=5),
-                                 faults_per_injection=2, injections=3, seed=5)
-        result = scenario.run()
-        assert [r.fault_index for r in result.records] == [0, 1, 2]
-        assert all(r.corrupted_processes == 2 for r in result.records)
+        steps = _periodic_recoveries(alg, RandomSubsetDaemon(seed=3),
+                                     rounds=10, seed=3)
+        assert max(steps) <= 6 * alg.n * alg.n

@@ -16,7 +16,6 @@ from repro.apps.mutex import CriticalSectionService
 from repro.core.ssrmin import SSRmin
 from repro.daemons.distributed import RandomSubsetDaemon
 from repro.daemons.replay import ReplayDaemon
-from repro.faults.injection import FaultInjector
 from repro.messagepassing.cst import transformed
 from repro.messagepassing.links import UniformDelay
 from repro.messagepassing.trace import MessageTrace
@@ -74,9 +73,13 @@ class TestFaultedNetworkServicePipeline:
         service = CriticalSectionService(net)
 
         net.run(60.0)
-        injector = FaultInjector(alg, seed=8)
-        injector.hit_network_state(net, count=2)
-        injector.hit_network_cache(net, count=2)
+        rng = random.Random(8)
+        for _ in range(2):
+            net.corrupt_node(rng.randrange(5), alg.random_local_state(rng))
+        for _ in range(2):
+            i = rng.randrange(5)
+            net.corrupt_cache(i, rng.choice([(i - 1) % 5, (i + 1) % 5]),
+                              alg.random_local_state(rng))
         net.run(300.0)
 
         # Messages flowed and obeyed the substrate discipline.

@@ -13,7 +13,7 @@ def _record_run(tmp_path, algorithm="ssrmin", seed=3):
         "--algorithm", algorithm, "--n", "4",
         "--transport", "loopback", "--seed", str(seed),
         "--timer-interval", "0.05", "--stabilize-timeout", "20",
-        "--telemetry-dir", str(tmp_path), "--store", store,
+        "--store", store,
     ])
     assert rc == 0
     return store
@@ -37,16 +37,17 @@ def test_live_chaos_records_into_store_and_slo_report_passes(
     assert "OK" in out
 
 
-def test_no_store_flag_skips_recording(tmp_path):
+def test_no_store_flag_skips_recording(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     store = str(tmp_path / "store.sqlite")
     rc = cli.main([
         "live", "run", "--n", "4", "--transport", "loopback",
         "--seed", "1", "--timer-interval", "0.05",
         "--stabilize-timeout", "20", "--duration", "0.2",
-        "--telemetry-dir", str(tmp_path), "--store", store, "--no-store",
+        "--store", store, "--no-store",
     ])
     assert rc == 0
-    assert not (tmp_path / "store.sqlite").exists()
+    assert list(tmp_path.iterdir()) == []  # no store, no other file
 
 
 def test_runs_show_and_query(tmp_path, capsys):
@@ -113,14 +114,14 @@ def test_top_plain_cli(tmp_path, capsys):
     assert "ssrmin-0" in out and "dijkstra-1" in out
     with RunStore(store) as opened:
         assert {r["run_id"] for r in opened.list_runs()} == \
-            {"top-ssrmin-0", "top-dijkstra-1"}
+            {"top-ssrmin-0-seed0", "top-dijkstra-1-seed1"}
 
 
 def test_live_status_watch_renders_dashboard_rows(tmp_path, capsys):
     _record_run(tmp_path)
     capsys.readouterr()
     rc = cli.main(["live", "status", "--watch", "--iterations", "1",
-                   "--telemetry-dir", str(tmp_path)])
+                   "--store", str(tmp_path / "store.sqlite")])
     out = capsys.readouterr().out
     assert rc == 0
     assert "live status — frame 1" in out
@@ -131,5 +132,6 @@ def test_live_status_watch_renders_dashboard_rows(tmp_path, capsys):
 
 def test_live_status_watch_empty_dir_exits_nonzero(tmp_path, capsys):
     rc = cli.main(["live", "status", "--watch", "--iterations", "1",
-                   "--telemetry-dir", str(tmp_path)])
+                   "--store", str(tmp_path / "store.sqlite")])
     assert rc == 1
+    assert "no run store" in capsys.readouterr().err

@@ -6,14 +6,17 @@ from repro.observability.dashboard import (
     render_rows,
     top_plain,
 )
+from repro.observability.ingest import ingest_live_report
 from repro.observability.store import RunStore
 
 LIVE_BLOCK = {
     "algorithm": "SSRmin", "n": 4, "restarts": 1,
     "health": {
         "stabilized": True,
+        "ok": True,
         "vacancy_instants": 0,
         "guarantee_violations": [],
+        "post_stab_min_holders": 1,
         "epochs": [
             {"label": "boot", "started_at": 0.0, "stabilized_at": 0.01},
             {"label": "loss@1.00s", "started_at": 1.0, "stabilized_at": 1.25,
@@ -23,30 +26,40 @@ LIVE_BLOCK = {
 }
 
 
+def _row(block):
+    """``RingRow`` of a live report, as recorded in (and read from) a store."""
+    with RunStore(":memory:") as store:
+        ingest_live_report(store, "demo", block, source="live")
+        run = store.get_run("demo")
+        return RingRow.from_run("demo", run, store.epochs_for(run["id"]))
+
+
 def test_ring_row_from_live_report():
-    row = RingRow.from_live_report("demo", LIVE_BLOCK)
+    row = _row(LIVE_BLOCK)
     assert row.algorithm == "SSRmin"
     assert row.status == "STABLE"
     assert row.epoch_label == "loss@1.00s"
     assert row.clock == 0.25
     assert row.restarts == 1
+    assert row.census == 1
 
 
 def test_ring_row_flags_breach_and_failure():
     block = {
         "algorithm": "SSRmin", "n": 4,
-        "health": {"stabilized": False, "epochs": [
+        "health": {"stabilized": False, "ok": False, "epochs": [
             {"label": "boot", "started_at": 0.0, "stabilized_at": None},
         ]},
     }
-    assert RingRow.from_live_report("x", block).status == "FAIL"
+    assert _row(block).status == "FAIL"
     block["health"]["stabilized"] = True
     block["health"]["guarantee_violations"] = [{"epoch_index": 0}]
-    assert RingRow.from_live_report("x", block).status == "BREACH"
+    assert _row(block).status == "BREACH"
+    assert _row(block).violations == 1
 
 
 def test_render_rows_is_fixed_width_table():
-    lines = render_rows([RingRow.from_live_report("demo", LIVE_BLOCK)])
+    lines = render_rows([_row(LIVE_BLOCK)])
     assert lines[0].startswith("RING")
     assert "CENSUS" in lines[0] and "VAC" in lines[0]
     assert len(lines) == 3  # header, rule, one ring
@@ -70,7 +83,7 @@ def test_top_plain_streams_frames_and_records_runs():
     assert "repro top — frame" in text
     assert "ssrmin-a" not in text  # names are used verbatim
     assert "a" in text and "b" in text
-    # Every ring left a queryable run behind.
+    # Every ring left a queryable run behind, named with its seed.
     runs = {r["run_id"] for r in store.list_runs()}
-    assert runs == {"top-a", "top-b"}
+    assert runs == {"top-a-seed1", "top-b-seed2"}
     store.close()

@@ -1,4 +1,4 @@
-"""Ingestion: live runtime events, and experiment manifests at write time."""
+"""Ingestion: live runtime events, and experiment run records."""
 
 import os
 
@@ -13,7 +13,7 @@ from repro.experiments.registry import run_experiment_instrumented
 from repro.observability.ingest import StoreSubscriber
 from repro.observability.store import RunStore
 from repro.runtime.harness import live_run
-from repro.telemetry import read_manifest, telemetry_session
+from repro.telemetry import telemetry_session
 from repro.telemetry.events import Event
 
 STABILIZE_TIMEOUT = 20.0
@@ -88,48 +88,73 @@ def test_truncated_run_closes_with_null_stabilized():
     store.close()
 
 
-def _counter_totals(manifest):
+def _counter_totals(record):
     return {
         name: sum(series["value"] for series in family["series"])
-        for name, family in manifest["metrics"]["counters"].items()
+        for name, family in record["metrics"]["counters"].items()
     }
 
 
+def test_run_end_records_the_verdict_with_the_row():
+    store = RunStore(":memory:")
+    subscriber = StoreSubscriber(store, run_id="verdict")
+    subscriber(Event(seq=0, time=0.0, layer="runtime", kind="run_start",
+                     payload={"algorithm": "SSRmin", "n": 4, "seed": 0,
+                              "initial": "legitimate"}))
+    subscriber(Event(seq=1, time=1.0, layer="runtime", kind="run_end",
+                     payload={"stabilized": True, "ok": False,
+                              "guarantee_violations": [{"epoch_index": 0}],
+                              "post_stab_min_holders": 0,
+                              "post_stab_max_holders": 2}))
+    run = store.get_run("verdict")
+    assert run["stabilized"] == 1 and run["violations"] == 1
+    assert run["extra"]["ok"] is False
+    assert run["extra"]["initial"] == "legitimate"  # run_start's keys stay
+    assert (run["extra"]["post_stab_min_holders"],
+            run["extra"]["post_stab_max_holders"]) == (0, 2)
+    store.close()
+
+
 def test_experiment_run_records_its_manifest(tmp_path):
-    _, run_dir = run_experiment_instrumented(
+    _, trace_path = run_experiment_instrumented(
         "fig02", fast=True, outdir=str(tmp_path))
-    manifest_path = os.path.join(run_dir, "manifest.json")
-    manifest = read_manifest(manifest_path)
-    first = manifest["runs"][0]
     with RunStore(str(tmp_path / "store.sqlite")) as store:
         assert [r["run_id"] for r in store.list_runs()] == ["fig02"]
         run = store.get_run("fig02")
         samples = store.samples_for(run["id"])
+    record = run["extra"]
+    first = record["runs"][0]
     assert run["kind"] == "experiment"
     assert (run["algorithm"], run["n"], run["k"]) == (
         first["algorithm"], first["n"], first["K"])
-    assert run["source"] == manifest_path
-    assert run["extra"]["command"] == "python -m repro run fig02 --fast"
-    assert run["wall_seconds"] == manifest["wall_seconds"]
-    expected = {k: v for k, v in _counter_totals(manifest).items() if v}
+    assert run["source"] == "experiment"
+    assert record["command"] == "python -m repro run fig02 --fast"
+    assert record["package"]["name"] == "repro"
+    assert record["python"] and record["platform"]
+    assert [p["label"] for p in record["phases"]] == ["resolve", "run"]
+    assert record["trace"] == {"file": trace_path, "truncated": False,
+                               "dropped_events": 0}
+    assert (record["fast"], record["match"]) == (True, True)
+    assert record["events_total"] > 0
+    expected = {k: v for k, v in _counter_totals(record).items() if v}
     assert expected  # fig02 fires rules
     assert {s["name"]: s["value"] for s in samples} == expected
     assert len(samples) == len(expected)
+    # The row is the record: the only file besides the store is the trace.
+    assert sorted(os.listdir(tmp_path)) == ["fig02", "store.sqlite"]
+    assert os.listdir(tmp_path / "fig02") == ["trace.jsonl"]
 
 
 def test_rerun_supersedes_the_row_and_its_samples(tmp_path):
     run_experiment_instrumented("fig02", fast=True, outdir=str(tmp_path))
-    _, run_dir = run_experiment_instrumented(
-        "fig02", fast=True, outdir=str(tmp_path))
-    manifest = read_manifest(os.path.join(run_dir, "manifest.json"))
+    run_experiment_instrumented("fig02", fast=True, outdir=str(tmp_path))
     with RunStore(str(tmp_path / "store.sqlite")) as store:
         assert store.counts()["runs"] == 1
         run = store.get_run("fig02")
         samples = store.samples_for(run["id"])
-    assert run["wall_seconds"] == manifest["wall_seconds"]
-    assert len(samples) == sum(1 for v in _counter_totals(manifest).values()
-                               if v)
-    assert {s["time"] for s in samples} == {manifest["wall_seconds"]}
+    assert len(samples) == sum(
+        1 for v in _counter_totals(run["extra"]).values() if v)
+    assert {s["time"] for s in samples} == {run["wall_seconds"]}
 
 
 def test_parallel_workers_record_into_one_store(tmp_path):

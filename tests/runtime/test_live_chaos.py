@@ -7,13 +7,11 @@ scripts — several seconds of scripted faults plus settle time each — are
 exercised by the ``slow``-marked tests.
 """
 
-import json
-import os
-
 import pytest
 
 from repro import cli
 from repro.chaoslab import FaultConfig, FaultType, resilience_test
+from repro.observability.store import RunStore
 from repro.runtime import build_script, live_chaos
 
 STABILIZE_TIMEOUT = 20.0
@@ -130,32 +128,35 @@ def test_script_shape_is_replayable():
 def test_acceptance_cli_loss_burst_over_udp(tmp_path):
     """ISSUE acceptance: ``repro live chaos --n 8 --script loss_burst``
     runs SSRmin over the asyncio UDP transport, keeps >=1 own-view token
-    post-stabilization, and records time-to-restabilize in the manifest.
-    Deterministic seed; asserts on the recorded manifest, not stdout."""
+    post-stabilization, and records time-to-restabilize in the run store.
+    Deterministic seed; asserts on the recorded row, not stdout."""
+    store_path = str(tmp_path / "store.sqlite")
     rc = cli.main([
         "live", "chaos", "--n", "8", "--script", "loss_burst",
         "--transport", "udp", "--seed", "7", "--timer-interval", "0.05",
         "--stabilize-timeout", str(STABILIZE_TIMEOUT),
-        "--telemetry-dir", str(tmp_path),
-        "--store", str(tmp_path / "store.sqlite"),
+        "--store", store_path,
     ])
     assert rc == 0
-    manifest_path = os.path.join(
-        tmp_path, "live-chaos-loss_burst-ssrmin-n8-seed7", "manifest.json"
-    )
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    live = manifest["extra"]["live"]
-    assert live["algorithm"] == "SSRmin" and live["n"] == 8
-    assert live["transport"] == "udp" and live["chaos"]
-    assert live["script"]["name"] == "loss_burst"
-    health = live["health"]
+    with RunStore(store_path) as store:
+        run = store.get_run("live-chaos-loss_burst-ssrmin-n8-seed7")
+        epochs = store.epochs_for(run["id"])
+        disturbances = store.disturbances_for(run["id"])
+        samples = {s["name"]: s["value"]
+                   for s in store.samples_for(run["id"])}
+    assert run["algorithm"] == "SSRmin" and run["n"] == 8
+    assert run["transport"] == "udp" and run["extra"]["chaos"]
+    assert run["script"] == "loss_burst"
     # Survived: re-stabilized after the last loss window, with the
     # >=1-own-view-token guarantee intact throughout stabilized instants.
-    assert health["stabilized"]
-    assert health["time_to_restabilize"] is not None
-    assert health["time_to_restabilize"] < STABILIZE_TIMEOUT
-    assert health["post_stab_min_holders"] >= 1
-    assert _final_epoch_violations(health) == []
-    # The chaos actually bit: losses were injected on the wire.
-    assert live["transport_stats"]["injected_losses"] > 0
+    assert run["stabilized"] == 1
+    assert run["extra"]["ok"] is True  # no violation in the final epoch
+    ttr = epochs[-1]["time_to_stabilize"]
+    assert ttr is not None and ttr < STABILIZE_TIMEOUT
+    assert run["extra"]["post_stab_min_holders"] >= 1
+    # The chaos actually bit: loss windows were opened on the wire and
+    # fewer datagrams arrived than were sent.
+    assert disturbances
+    assert {d["kind"] for d in disturbances} == {"loss"}
+    assert (samples["live_messages_received_total"]
+            < samples["live_messages_sent_total"])

@@ -1,9 +1,10 @@
-"""CLI: `repro run` telemetry artifacts and the `repro stats` replay."""
+"""CLI: `repro run` telemetry (store row + trace) and the `repro stats`
+replay."""
 
-import json
 import os
 
 from repro.cli import main
+from repro.observability.store import RunStore
 from repro.telemetry import Event, write_events
 
 
@@ -14,20 +15,25 @@ class TestRunTelemetry:
                      "--telemetry-dir", outdir]) == 0
         out = capsys.readouterr().out
         assert "telemetry:" in out
-        run_dir = os.path.join(outdir, "lem1")
-        trace = os.path.join(run_dir, "trace.jsonl")
-        manifest = os.path.join(run_dir, "manifest.json")
+        trace = os.path.join(outdir, "lem1", "trace.jsonl")
         assert os.path.exists(trace)
-        assert os.path.exists(manifest)
+        # The store and the trace are the whole record.
+        assert sorted(os.listdir(outdir)) == ["lem1", "store.sqlite"]
+        assert os.listdir(os.path.join(outdir, "lem1")) == ["trace.jsonl"]
 
         assert main(["stats", trace]) == 0
         out = capsys.readouterr().out
         assert "seq monotonic: True" in out
 
-        assert main(["stats", manifest]) == 0
+        # `runs show` prints what ran, from the row alone.
+        assert main(["runs", "show", "lem1", "--store",
+                     os.path.join(outdir, "store.sqlite")]) == 0
         out = capsys.readouterr().out
         assert "experiment: lem1" in out
         assert "command:    python -m repro run lem1 --fast" in out
+        assert "version:    repro " in out and "created:    " in out
+        assert "wall time:  " in out and "  phase run: " in out
+        assert f"trace:      {trace}\n" in out
 
     def test_no_trace_flag(self, tmp_path, capsys):
         outdir = str(tmp_path / "runs")
@@ -35,9 +41,9 @@ class TestRunTelemetry:
                      "--no-trace"]) == 0
         out = capsys.readouterr().out
         assert "trace.jsonl" not in out
-        run_dir = os.path.join(outdir, "lem1")
-        assert os.path.exists(os.path.join(run_dir, "manifest.json"))
-        assert not os.path.exists(os.path.join(run_dir, "trace.jsonl"))
+        assert os.listdir(outdir) == ["store.sqlite"]
+        with RunStore(os.path.join(outdir, "store.sqlite")) as store:
+            assert store.get_run("lem1")["extra"]["trace"]["file"] is None
 
     def test_no_telemetry_flag(self, tmp_path, capsys):
         outdir = str(tmp_path / "runs")
@@ -49,8 +55,8 @@ class TestRunTelemetry:
 
 
     def test_batched_kernel_run_leaves_a_record(self, tmp_path, capsys):
-        """ext4 runs on the batched kernel; its trace, manifest and store
-        row still say what ran and how many steps it took."""
+        """ext4 runs on the batched kernel; its trace and store row still
+        say what ran and how many steps it took."""
         outdir = str(tmp_path / "runs")
         assert main(["run", "ext4", "--fast",
                      "--telemetry-dir", outdir]) == 0
@@ -61,8 +67,8 @@ class TestRunTelemetry:
         assert "events: 0" not in out
         assert "engine/run_start=3" in out
         assert "engine=batched" in out
-        with open(os.path.join(outdir, "ext4", "manifest.json")) as fh:
-            metrics = json.load(fh)["metrics"]
+        with RunStore(os.path.join(outdir, "store.sqlite")) as store:
+            metrics = store.get_run("ext4")["extra"]["metrics"]
         steps = metrics["counters"]["steps_total"]["series"]
         histogram = metrics["histograms"]["convergence_steps"]["series"]
         assert histogram[0]["labels"] == {"engine": "batched"}
@@ -70,7 +76,9 @@ class TestRunTelemetry:
         assert steps[0]["value"] == histogram[0]["value"]["sum"] > 0
         assert main(["runs", "show", "ext4", "--store",
                      os.path.join(outdir, "store.sqlite")]) == 0
-        assert "steps_total = " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "steps_total = " in out
+        assert "  engine/run_start: {" in out and "'batched'" in out
 
 
 class TestStatsCommand:

@@ -153,29 +153,33 @@ class TestConvergenceInstrumentation:
 class TestInstrumentedExperiment:
     def test_manifest_and_trace_written(self, tmp_path):
         from repro.experiments.registry import run_experiment_instrumented
-        from repro.telemetry import read_manifest
+        from repro.observability.store import RunStore
 
-        result, run_dir = run_experiment_instrumented(
+        result, trace_path = run_experiment_instrumented(
             "fig04", fast=True, outdir=str(tmp_path), trace=True)
         assert result.match
-        assert run_dir == str(tmp_path / "fig04")
-        manifest = read_manifest(os.path.join(run_dir, "manifest.json"))
-        assert manifest["schema"] == 1
-        assert manifest["experiment_id"] == "fig04"
-        assert manifest["command"] == "python -m repro run fig04 --fast"
-        assert [p["label"] for p in manifest["phases"]] == ["resolve", "run"]
-        assert manifest["extra"]["fast"] is True
-        assert manifest["extra"]["match"] is True
-        assert manifest["trace"]["file"] == "trace.jsonl"
-        assert not manifest["trace"]["truncated"]
-        replay = TraceStats.from_file(os.path.join(run_dir, "trace.jsonl"))
-        assert replay.events_total == manifest["events_total"]
+        assert trace_path == str(tmp_path / "fig04" / "trace.jsonl")
+        with RunStore(str(tmp_path / "store.sqlite")) as store:
+            run = store.get_run("fig04")
+        record = run["extra"]
+        assert record["schema"] == 1
+        assert record["command"] == "python -m repro run fig04 --fast"
+        assert [p["label"] for p in record["phases"]] == ["resolve", "run"]
+        assert record["fast"] is True
+        assert record["match"] is True
+        assert record["trace"]["file"] == trace_path
+        assert not record["trace"]["truncated"]
+        replay = TraceStats.from_file(trace_path)
+        assert replay.events_total == record["events_total"]
         assert replay.seq_monotonic
 
     def test_manifest_only_when_trace_disabled(self, tmp_path):
         from repro.experiments.registry import run_experiment_instrumented
+        from repro.observability.store import RunStore
 
-        _, run_dir = run_experiment_instrumented(
+        _, trace_path = run_experiment_instrumented(
             "lem1", fast=True, outdir=str(tmp_path), trace=False)
-        assert os.path.exists(os.path.join(run_dir, "manifest.json"))
-        assert not os.path.exists(os.path.join(run_dir, "trace.jsonl"))
+        assert trace_path is None
+        assert os.listdir(tmp_path) == ["store.sqlite"]
+        with RunStore(str(tmp_path / "store.sqlite")) as store:
+            assert store.get_run("lem1")["extra"]["match"] is True

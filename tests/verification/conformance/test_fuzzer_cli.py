@@ -123,15 +123,15 @@ class TestFuzzCLI:
         rc = main(["fuzz", "run", "--seed", "9", "--trials", "4",
                    "--telemetry-dir", str(tmp_path)])
         assert rc == 0
-        manifest = json.loads(
-            (tmp_path / "fuzz-seed9" / "manifest.json").read_text()
-        )
-        assert manifest["extra"]["campaign"]["trials"] == 4
-        assert (tmp_path / "fuzz-seed9" / "trace.jsonl").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fuzz-seed9", "store.sqlite"]
+        assert [p.name for p in (tmp_path / "fuzz-seed9").iterdir()] == [
+            "trace.jsonl"]
         with RunStore(str(tmp_path / "store.sqlite")) as store:
             run = store.get_run("fuzz-seed9")
         assert run["kind"] == "experiment"
         assert run["extra"]["command"] == "repro fuzz run --seed 9"
+        assert run["extra"]["campaign"]["trials"] == 4
 
     def test_fuzz_replay_corpus_directory(self, capsys):
         rc = main(["fuzz", "replay", "tests/corpus"])
