@@ -1364,7 +1364,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     pr_list = runs_sub.add_parser("list", help="list recorded runs")
     pr_list.add_argument("--kind", default=None,
-                         choices=["live", "experiment"])
+                         choices=["live", "experiment", "fleet", "chaos-cell"])
     pr_list.add_argument("--algorithm", default=None,
                          help="substring filter, e.g. ssrmin")
     pr_list.add_argument("--limit", type=int, default=None)

@@ -23,14 +23,19 @@ resumable sweep store leans on.  The step loop works on live lanes only:
   index).  Every legitimate configuration enables exactly one process
   (Figure 4's inchworm moves one process at a time), so the configuration
   reached at step ``k`` is checked at the start of step ``k + 1``, and
-  only on lanes with one enabled process: the central step reads each
+  only on lanes with one enabled process (the central step reads each
   lane's count off its pick, the parallel steps off the rule array they
-  compute anyway.  The lanes left after the budget's last step are
+  compute anyway) whose ``x_0`` is ``x_{n-1}`` or ``x_{n-1} + 1``, as in
+  every staircase.  The lanes left after the budget's last step are
   checked once more;
 * under the central daemon, which moves one process per lane per step,
-  the rule array persists across steps and only the guards next to the
-  moved column are recomputed; the window's columns, the bottom flag and
-  the ``G_0`` flags come from per-group tables indexed by that column;
+  each process's rule-table index (:func:`_rule_indices`) persists across
+  steps in place of the handshake array.  A move at column ``j`` writes
+  only ``x_j`` and ``h_j``, so it reads ``x`` and the indices at
+  ``j - 1 .. j + 1`` alone and rewrites those three indices with byte
+  operations and 128-entry tables indexed by the mover's index; ``H`` is
+  derived from the indices only where it is read (the retirement check,
+  the check after the budget's last step, the yielded configurations);
 * the synchronous and Bernoulli daemons move many processes per step and
   recompute every guard of the live lanes, over byte-wide counters
   whenever ``K < 256``; Bernoulli coins are decided on the hashed words
@@ -71,6 +76,20 @@ _NEXT_H = np.array([h if new is None else new
 #: Rules whose command also sets ``x_i <- C_i`` (R2 and R4).
 _SETS_X = np.array([False, False, True, False, True, False])
 
+#: Rule-table indices ``(G << 6) | (h_pred << 4) | (h_own << 2) | h_succ``.
+_INDICES = np.arange(128)
+#: A move by the process at index ``i``: its new handshake code, and
+#: whether its command also sets ``x`` (1 for R2 and R4).
+_MOVE_H = _NEXT_H[RULE_LUT * 4 + ((_INDICES >> 2) & 3)]
+_MOVE_SETS = _SETS_X[RULE_LUT].view(np.uint8)
+#: Its own index after the move: the new ``h`` in place of the old one,
+#: and ``G`` cleared by R2 and R4, whose ``x <- C`` passes the primary
+#: token on.
+_MOVE_OWN = ((_INDICES & 0x33) | (_MOVE_H << 2)
+             | (_INDICES & 64) * (1 - _MOVE_SETS)).astype(np.uint8)
+#: ``RULE_LUT != 0``: whether the process at an index is enabled.
+_ENABLED = RULE_LUT != 0
+
 #: PRNG stream ids (:func:`repro.kernels.prng.grid_uniforms` coordinates).
 STREAM_INIT_X = 0
 STREAM_INIT_H = 1
@@ -92,16 +111,14 @@ def _neighbours(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             np.concatenate((H[:, 1:], H[:, :1]), axis=1))
 
 
-def _rules(G: np.ndarray, Hp: np.ndarray, H: np.ndarray,
-           Hs: np.ndarray) -> np.ndarray:
-    """Rule codes (uint8, 0 = none) from guard inputs of any shape.
+def _rule_indices(X: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Each process's index into the shared rule table (uint8 for uint8 H).
 
-    One gather through the shared rule table, indexed
     ``(G << 6) | (h_pred << 4) | (h_own << 2) | h_succ``; the shifts are
     byte-wide multiplications, which numpy runs several times faster.
     """
-    return np.take(RULE_LUT, (G.view(np.uint8) * 64) | (Hp * 16) | (H * 4)
-                   | Hs)
+    Hp, Hs = _neighbours(H)
+    return (_primary(X).view(np.uint8) * 64) | (Hp * 16) | (H * 4) | Hs
 
 
 def batched_guards(X: np.ndarray, H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -110,9 +127,8 @@ def batched_guards(X: np.ndarray, H: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     One gather through the shared rule table replaces five separate
     guard masks + a ``np.select`` cascade.
     """
-    G = _primary(X)
-    Hp, Hs = _neighbours(H)
-    return G, _rules(G, Hp, H, Hs)
+    I = _rule_indices(X, H)
+    return I >= 64, RULE_LUT.take(I)
 
 
 def batched_commands(X: np.ndarray, K: int) -> np.ndarray:
@@ -205,8 +221,8 @@ def _enabled_positions(
     ``positions`` and ``count`` its number of entries, found by cutting
     ``positions`` at the row starts without python loops.
     """
-    positions = np.flatnonzero(enabled)
-    bounds = np.searchsorted(positions, starts)
+    positions = enabled.reshape(-1).nonzero()[0]
+    bounds = positions.searchsorted(starts)
     first = bounds[:-1]
     return positions, first, bounds[1:] - first
 
@@ -221,13 +237,8 @@ def _pick(positions: np.ndarray, first: np.ndarray, count: np.ndarray,
     ``u * count`` rounds to below ``count`` for every count under
     ``2**53``.
     """
-    return positions[first + (u * count).astype(np.int64)]
+    return positions.take(first + (u * count).astype(np.int64))
 
-
-#: Window offsets around a central-daemon move at column ``j``: the
-#: guards at ``j - 1 .. j + 1`` read ``x`` at ``j - 2 .. j + 1`` and
-#: ``h`` at ``j - 2 .. j + 2``.
-_WINDOW = np.arange(-2, 3)
 
 #: Steps of ``STREAM_PICK`` uniforms (central picks, Bernoulli fallbacks)
 #: and of ``STREAM_COINS`` keys hashed per PRNG call: one ``lanes x 32``
@@ -246,7 +257,7 @@ class _Lanes:
     """
 
     #: Per-lane arrays, indexed by row.
-    FIELDS = ("cell", "X", "H", "pick", "coins", "picks", "coin_keys",
+    FIELDS = ("cell", "X", "H", "I", "pick", "coins", "picks", "coin_keys",
               "rule", "enabled")
 
     def __init__(self, X: np.ndarray, H: np.ndarray, seeds: np.ndarray,
@@ -269,18 +280,21 @@ class _Lanes:
             self.bound = coin_bound(p)
         self.picks = self.coin_keys = None
         self.picks_from = self.coin_keys_from = -_BLOCK  # nothing drawn yet
-        self.rule = self.enabled = None
+        self.I = self.rule = self.enabled = None
         if kind == "central":
-            # ``enabled`` mirrors ``rule != 0``: the pick's flatnonzero is
-            # several times faster on booleans than on rule codes.
-            self.rule = batched_guards(self.X, self.H)[1]
-            self.enabled = self.rule != 0
-            # Per-column tables of a move at column j: the window's
-            # columns, whether j is the bottom, and which of the guards
-            # at j - 1 .. j + 1 is G_0.
-            self.window = (np.arange(n)[:, None] + _WINDOW) % n
-            self.bottom = (self.window[:, 2] == 0).astype(np.uint8)
-            self.g0 = self.window[:, 1:4] == 0
+            # The rule-table indices replace the handshakes, which are
+            # their bits 2..3.  ``enabled`` mirrors ``RULE_LUT[I] != 0``:
+            # the pick's nonzero is several times faster on booleans.
+            self.I = _rule_indices(self.X, self.H)
+            self.H = None
+            self.enabled = _ENABLED.take(self.I)
+            # Per-column tables of a move at column j: its columns
+            # j - 1 .. j + 1 (one row each), whether j is the bottom and
+            # whether j + 1 is.
+            columns = np.arange(n)
+            self.window = (columns + np.arange(-1, 2)[:, None]) % n
+            self.bottom = (columns == 0).view(np.uint8)
+            self.top = columns == n - 1
 
     def _row_offsets(self) -> None:
         """The flat offsets of the rows: ``starts`` (one past the end
@@ -289,12 +303,32 @@ class _Lanes:
         self.starts = np.arange(0, (lanes + 1) * n, n)
         self.base = self.starts[:-1]
 
+    def configurations(self, rows: Optional[np.ndarray] = None
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(X, H)`` of the given ``rows`` of the live lanes, or of all.
+
+        Central lanes derive ``H`` from their rule-table indices; other
+        arrays are copies with ``rows`` and the lanes' own without.
+        """
+        X, H = self.X, self.H if self.I is None else self.I
+        if rows is not None:
+            X, H = X.take(rows, axis=0), H.take(rows, axis=0)
+        if self.I is not None:
+            H = (H >> 2) & 3
+        return X, H
+
     def _retire(self, rows: np.ndarray, steps: np.ndarray, k: int) -> bool:
         """Record as ``k`` and drop the ``rows`` that satisfy Definition 1;
         returns whether any did."""
         if rows.size:
-            rows = rows[batched_legitimate(np.take(self.X, rows, axis=0),
-                                           np.take(self.H, rows, axis=0),
+            # A staircase's x_0 is x_{n-1}, or x_{n-1} + 1 mod K: two
+            # columns reject most candidates before the full check.
+            first, last = self.X[:, 0].take(rows), self.X[:, -1].take(rows)
+            succ = last + 1
+            succ %= self.K
+            rows = rows[(first == last) | (first == succ)]
+        if rows.size:
+            rows = rows[batched_legitimate(*self.configurations(rows),
                                            self.K)]
         if not rows.size:
             return False
@@ -342,46 +376,62 @@ class _Lanes:
     def _central_step(self, k: int, steps: Optional[np.ndarray]) -> None:
         """One move per lane, then only the moved neighbourhood.
 
-        Only column ``j`` changes, so only the guards at ``j - 1 .. j + 1``
-        are recomputed.
+        A move at column ``j`` writes ``x_j`` and ``h_j``, and ``G_{j-1}``
+        reads ``x_{j-1}`` and ``x_{j-2}``, so only the indices at
+        ``j - 1 .. j + 1`` change: each takes the new ``h_j``, ``I_j``
+        loses ``G`` after R2 or R4, and ``I_{j+1}`` gets ``G`` anew.
         """
         positions, first, count = _enabled_positions(self.enabled,
                                                      self.starts)
-        if steps is not None and self._retire(np.flatnonzero(count == 1),
+        if steps is not None and self._retire((count == 1).nonzero()[0],
                                               steps, k - 1):
             if not self.cell.size:
                 return
             positions, first, count = _enabled_positions(self.enabled,
                                                          self.starts)
-        X, H, rule, base = self.X, self.H, self.rule, self.base
+        X, I, base = self.X, self.I, self.base
         at_j = _pick(positions, first, count, self._pick_uniforms(k))
         j = at_j - base
-        flat = np.take(self.window, j, axis=0) + base[:, None]
-        Xw = np.take(X, flat[:, :4])
-        Hw = np.take(H, flat)
-        r = np.take(rule, at_j)
+        flat = self.window.take(j, axis=1)
+        flat += base
+        x = X.take(flat)  # rows x_{j-1}, x_j, x_{j+1}
+        w = I.take(flat)  # rows I_{j-1}, I_j, I_{j+1}
+        own = w[1]
+        h = _MOVE_H.take(own)
 
-        # C_j: the predecessor's x, plus one mod K at the bottom.
-        c = Xw[:, 1] + np.take(self.bottom, j)
+        # x_j' = x_j + (C_j - x_j) * sets, exact in uint8 wraparound too
+        # because both values are below K; C_j is the predecessor's x,
+        # plus one mod K at the bottom.
+        c = x[0] + self.bottom.take(j)
         c %= self.K
-        Xw[:, 2] = np.where(np.take(_SETS_X, r), c, Xw[:, 2])
-        Hw[:, 2] = np.take(_NEXT_H, (r * 4) | Hw[:, 2])
-        np.put(X, at_j, Xw[:, 2])
-        np.put(H, at_j, Hw[:, 2])
-        # G_i is x_i != x_{i-1}, except that G_0 is x_0 == x_{n-1}.
-        G = (Xw[:, 1:] != Xw[:, :-1]) ^ np.take(self.g0, j, axis=0)
-        new = _rules(G, Hw[:, :3], Hw[:, 1:4], Hw[:, 2:])
-        np.put(rule, flat[:, 1:4], new)
-        np.put(self.enabled, flat[:, 1:4], new != 0)
+        c -= x[1]
+        c *= _MOVE_SETS.take(own)
+        c += x[1]
+        # Assigning through flat views is about twice as fast as ``put``.
+        X.reshape(-1)[at_j] = c
+        w[0] &= 0xFC
+        w[0] |= h
+        w[1] = _MOVE_OWN.take(own)
+        # G_{j+1} is x_{j+1} != x_j', except that G_0 is x_0 == x_{n-1}.
+        g = x[2] != c
+        g ^= self.top.take(j)
+        w[2] &= 0x0F
+        w[2] |= h * 16
+        w[2] |= g.view(np.uint8) * 64
+        I.reshape(-1)[flat] = w
+        self.enabled.reshape(-1)[flat] = _ENABLED.take(w)
 
     def _parallel_step(self, k: int, steps: Optional[np.ndarray]) -> None:
         """One synchronous or Bernoulli step: every guard, every lane."""
         # The rules live on the lanes for this step so that retiring drops
         # their rows too.
-        self.rule = batched_guards(self.X, self.H)[1]
+        self.rule = RULE_LUT.take(_rule_indices(self.X, self.H))
+        # A byte-wide count is twice as fast as ``count_nonzero``; from
+        # n = 256 on it wraps, which only adds candidates that the exact
+        # check rejects.
         if steps is not None and self._retire(
-                np.flatnonzero(np.count_nonzero(self.rule, axis=1) == 1),
-                steps, k - 1):
+                ((self.rule != 0).sum(axis=1, dtype=np.uint8) == 1)
+                .nonzero()[0], steps, k - 1):
             if not self.cell.size:
                 return
         X, H, rule = self.X, self.H, self.rule
@@ -390,7 +440,7 @@ class _Lanes:
             fire = rule * keyed_coins(self._coin_keys(k), self.lanes_n,
                                       self.bound)
             # A lane whose coins all missed moves one enabled process.
-            empty = np.flatnonzero(~fire.any(axis=1))
+            empty = (~fire.any(axis=1)).nonzero()[0]
             if empty.size:
                 n = X.shape[1]
                 starts = np.arange(0, (empty.size + 1) * n, n)
@@ -406,7 +456,7 @@ class _Lanes:
         moved *= (fire == 2) | (fire == 4)
         moved ^= X
         self.X = moved
-        self.H = np.take(_NEXT_H, (fire * 4) | H)
+        self.H = _NEXT_H.take((fire * 4) | H)
 
 
 def _check_instance(n: int, K: Optional[int]) -> int:
@@ -434,9 +484,11 @@ def advance_configurations(
     ``(seeds[r], stream, k)`` — the draws :func:`run_convergence_cells`
     makes for that seed's cell at step ``k`` — whether or not it is
     legitimate.  Yields the configurations ``(X, H)`` after each step
-    ``k = 1 .. steps``; the arrays are the step loop's own (``X`` is
-    uint8 when ``K < 256``, else int64), valid until the next step, and
-    the caller's inputs are never written.
+    ``k = 1 .. steps``.  ``X`` is the step loop's own array (uint8 when
+    ``K < 256``, else int64), valid until the next step; so is ``H``
+    (uint8), except under the central daemon, whose lanes keep rule-table
+    indices and derive a fresh ``H`` from them for each yield.  The
+    caller's inputs are never written.
     """
     X = np.asarray(X, dtype=np.int64)
     H = np.asarray(H, dtype=np.uint8)
@@ -450,7 +502,7 @@ def advance_configurations(
     lanes = _Lanes(X, H, seeds, K, kind, p)
     for k in range(1, steps + 1):
         lanes.step(k)
-        yield lanes.X, lanes.H
+        yield lanes.configurations()
 
 
 def run_convergence_cells(
@@ -493,7 +545,8 @@ def run_convergence_cells(
     else:
         # The lanes left after the budget's last step (every lane under a
         # zero budget) have not been checked since it.
-        steps[lanes.cell[batched_legitimate(lanes.X, lanes.H, K)]] = budget
+        steps[lanes.cell[batched_legitimate(*lanes.configurations(), K)]] = (
+            budget)
 
     return [
         {"steps": int(steps[c]), "converged": bool(steps[c] >= 0),

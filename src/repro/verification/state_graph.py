@@ -45,6 +45,7 @@ its orbit, and packed keys ascend in enumeration order).
 from __future__ import annotations
 
 import abc
+import functools
 from array import array
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -242,7 +243,6 @@ class QuotientGraph(StateGraph):
         self.enumerated = size
         n = len(kernel.key_weights)
         bits = 1 << np.arange(n, dtype=np.int64)
-        selections: Dict[int, Any] = {}
         for lo in range(0, size, CHUNK):
             keys = np.arange(lo, min(lo + CHUNK, size), dtype=np.int64)
             legit, enabled, deltas = kernel.key_moves(keys)
@@ -252,12 +252,9 @@ class QuotientGraph(StateGraph):
             ordered = group[order]
             cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
             members = np.split(order, cuts)
-            matrices = []
-            for code in ordered[np.concatenate(([0], cuts))].tolist():
-                if code not in selections:
-                    selections[code] = _selection_matrix(
-                        code, n, ts.max_selection)
-                matrices.append(selections[code])
+            matrices = [_selection_matrix(code, n, ts.max_selection)
+                        for code in ordered[np.concatenate(([0], cuts))]
+                        .tolist()]
             counts = np.empty(len(keys), dtype=np.int64)
             counts[order] = np.repeat([m.shape[1] for m in matrices],
                                       [len(rows) for rows in members])
@@ -287,6 +284,7 @@ class QuotientGraph(StateGraph):
         return sorted(shift(v, c) for v in ids for c in range(self.orbit))
 
 
+@functools.lru_cache(maxsize=4096)
 def _selection_matrix(group: int, n: int, max_selection: Optional[int]) -> Any:
     """The daemon selections of one :class:`QuotientGraph` row group.
 
@@ -294,7 +292,8 @@ def _selection_matrix(group: int, n: int, max_selection: Optional[int]) -> Any:
     zero-delta members in bits ``0 .. n - 1``.  Column ``j`` of the
     ``(n, s)`` 0/1 matrix is the ``j``-th selection, in
     ``nonempty_subsets`` order, whose non-zero-delta members no earlier
-    selection has.
+    selection has.  The matrix depends on nothing else, so graphs of one
+    ring size and daemon share it; it is read-only for that reason.
     """
     import numpy as np
 
@@ -304,8 +303,10 @@ def _selection_matrix(group: int, n: int, max_selection: Optional[int]) -> Any:
     first: Dict[int, Tuple[int, ...]] = {}
     for subset in nonempty_subsets(enabled, max_selection):
         first.setdefault(sum(1 << i for i in subset) & ~group, subset)
-    return np.array([[i in subset for subset in first.values()]
-                     for i in range(n)], dtype=np.int64)
+    matrix = np.array([[i in subset for subset in first.values()]
+                       for i in range(n)], dtype=np.int64)
+    matrix.setflags(write=False)
+    return matrix
 
 
 class EnumeratedGraph(StateGraph):

@@ -23,6 +23,8 @@ from repro.kernels.batched import (
     STREAM_INIT_H,
     STREAM_INIT_X,
     STREAM_PICK,
+    batched_guards,
+    batched_legitimate,
     parse_daemon,
     run_convergence_cells,
 )
@@ -80,11 +82,17 @@ class CounterKeyedDaemon(Daemon):
         return chosen or self._pick(enabled, k)
 
 
-@pytest.mark.parametrize("daemon", ["synchronous", "central",
-                                    "bernoulli:0.2", "bernoulli:0.5"])
+@pytest.mark.parametrize(
+    "daemon,n",
+    [("synchronous", 6), ("central", 6), ("bernoulli:0.2", 6),
+     ("bernoulli:0.5", 6),
+     # The central move's three columns wrap the ring at n = 3 and 4.
+     ("central", 3), ("central", 4)],
+    ids=["synchronous", "central", "bernoulli:0.2", "bernoulli:0.5",
+         "central-n3", "central-n4"])
 @pytest.mark.parametrize("use_fastpath", [True, False])
-def test_agrees_with_scalar_engine(daemon, use_fastpath):
-    n, K, seeds = 6, 7, list(range(8))
+def test_agrees_with_scalar_engine(daemon, n, use_fastpath):
+    K, seeds = n + 1, list(range(8))
     X = grid_integers(seeds, STREAM_INIT_X, 0, n, K)
     H = grid_integers(seeds, STREAM_INIT_H, 0, n, 4)
     batched = run_convergence_cells(n, seeds, daemon, K=K)
@@ -130,6 +138,24 @@ def test_budget_exhaustion_reports_unconverged():
             results = run_convergence_cells(8, seeds, daemon, budget=cut)
             assert (sum(r["converged"] for r in results)
                     == sum(steps <= cut for steps in free))
+
+
+def test_wrapped_enabled_count_retires_no_lane():
+    """The parallel steps count each lane's enabled processes in a byte,
+    which wraps from n = 256 on: a start with all 257 processes enabled
+    reads 1, a retirement candidate, and must stay live because it is not
+    legitimate."""
+    n, seeds = 257, np.arange(600)
+    X = grid_integers(seeds, STREAM_INIT_X, 0, n, n + 1)
+    H = grid_integers(seeds, STREAM_INIT_H, 0, n, 4)
+    rule = batched_guards(X, H)[1]
+    full = (rule != 0).all(axis=1)
+    assert full.any()
+    assert ((rule[full] != 0).sum(axis=1, dtype=np.uint8) == 1).all()
+    assert not batched_legitimate(X[full], H[full], n + 1).any()
+    for daemon in ("synchronous", "bernoulli:0.5"):
+        assert run_convergence_cells(n, seeds[full], daemon, budget=1) == [
+            {"steps": -1, "converged": False, "budget": 1}] * full.sum()
 
 
 def test_zero_budget_converges_only_legitimate_starts():

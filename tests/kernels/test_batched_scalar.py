@@ -9,7 +9,8 @@ lanes on: it enables exactly one process, by R1, R2 or R3.
 ``SharedMemorySimulator`` driven by a scalar daemon that draws the
 kernel's counter-keyed numbers, under every daemon family.  The step loop
 keeps counters byte-wide below ``K = 256``; both sides of that boundary
-are checked against the scalar engine.
+are checked against the scalar engine.  The central lanes' persistent
+rule-table indices are checked against a rebuild after every step.
 """
 
 import random
@@ -19,6 +20,7 @@ import pytest
 
 from repro.core.ssrmin import SSRmin
 from repro.daemons.distributed import BernoulliDaemon
+from repro.kernels import batched
 from repro.kernels.batched import (
     STREAM_INIT_H,
     STREAM_INIT_X,
@@ -106,12 +108,17 @@ class TestStepEquivalence:
         for t, config in enumerate(configs):
             assert counts[t] == len(alg.enabled_processes(config))
 
-    @pytest.mark.parametrize("daemon", ["synchronous", "central",
-                                        "bernoulli:0.5"])
-    def test_advance_matches_simulator(self, daemon):
+    @pytest.mark.parametrize(
+        "daemon,n",
+        [("synchronous", 5), ("central", 5), ("bernoulli:0.5", 5),
+         # The central move's three columns wrap the ring at n = 3 and 4.
+         ("central", 3), ("central", 4)],
+        ids=["synchronous", "central", "bernoulli:0.5", "central-n3",
+             "central-n4"])
+    def test_advance_matches_simulator(self, daemon, n):
         """Every configuration the stepper yields is the one the scalar
         engine reaches under the same keyed daemon decisions."""
-        alg = SSRmin(5, 6)
+        alg = SSRmin(n, n + 1)
         configs = random_configs(alg, 7, 10)
         legit = [random_legitimate(alg, random.Random(s)) for s in range(4)]
         starts = configs + legit
@@ -191,6 +198,43 @@ class TestStepEquivalence:
             next(advance_configurations(X, H, [0], "bernoulli:0", steps=1))
         with pytest.raises(ValueError):
             next(advance_configurations(X, H, [0, 1], steps=1))
+
+
+class TestCentralIndices:
+    """Central lanes keep each process's rule-table index across steps
+    and rewrite only the three around each move."""
+
+    @pytest.mark.parametrize("K", ["n+1", 255, 256])
+    @pytest.mark.parametrize("n", [3, 4, 8, 64])
+    def test_indices_equal_a_rebuild_after_every_step(self, monkeypatch,
+                                                      n, K):
+        K = n + 1 if K == "n+1" else K
+        central_step = batched._Lanes._central_step
+        checked = []
+
+        def step_and_check(lanes, k, steps):
+            central_step(lanes, k, steps)
+            X, H = lanes.configurations()
+            G = batched._primary(X).view(np.uint8)
+            Hp, Hs = batched._neighbours(H)
+            assert np.array_equal(lanes.I,
+                                  (G << 6) | (Hp << 4) | (H << 2) | Hs)
+            assert np.array_equal(lanes.enabled,
+                                  batched.RULE_LUT[lanes.I] != 0)
+            checked.append(k)
+
+        monkeypatch.setattr(batched._Lanes, "_central_step", step_and_check)
+        seeds = list(range(12))
+        results = run_convergence_cells(n, seeds, "central", K=K)
+        assert all(r["converged"] for r in results)
+        assert len(checked) == max(r["steps"] for r in results) + 1
+        X = grid_integers(seeds, STREAM_INIT_X, 0, n, K)
+        H = grid_integers(seeds, STREAM_INIT_H, 0, n, 4)
+        checked.clear()
+        for _ in advance_configurations(X, H, seeds, "central", K=K,
+                                        steps=4 * n):
+            pass
+        assert len(checked) == 4 * n
 
 
 class TestPrivilegedCounts:

@@ -98,6 +98,24 @@ def test_runs_list_prints_the_last_epochs_ttr(tmp_path, capsys):
     assert line.endswith(" ttr=1.300s")
 
 
+def test_runs_list_selects_every_recorded_kind(tmp_path, capsys):
+    store_path = str(tmp_path / "store.sqlite")
+    with RunStore(store_path) as store:
+        for run_id, kind in (("lem1", "experiment"), ("live-x", "live"),
+                             ("fleet-ssrmin-r2-n4-seed1", "fleet"),
+                             ("ci-cell-0", "chaos-cell"),
+                             ("ci-cell-1", "chaos-cell")):
+            store.insert_run(run_id, kind=kind, algorithm="SSRmin", n=4)
+    for kind, ids in (("fleet", ["fleet-ssrmin-r2-n4-seed1"]),
+                      ("chaos-cell", ["ci-cell-0", "ci-cell-1"])):
+        assert cli.main(["runs", "list", "--kind", kind,
+                         "--store", store_path]) == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert sorted(line.split()[1] for line in lines) == [
+            f"{run_id}:" for run_id in ids]
+        assert all(f": {kind} SSRmin n=4 " in line for line in lines)
+
+
 def test_fleet_run_and_status_read_the_store(tmp_path, capsys):
     store = str(tmp_path / "store.sqlite")
     assert cli.main([*LOOPBACK_FLEET, "--store", store]) == 0

@@ -24,6 +24,7 @@ from repro.verification.model_checker import (
     worst_case_convergence_steps,
     worst_case_witness,
 )
+from repro.verification.state_graph import _selection_matrix
 from repro.verification.transition_system import TransitionSystem
 
 INSTANCES = (
@@ -197,6 +198,25 @@ def test_array_build_equals_key_by_key_rows(
         # itself through the zero-delta command.
         assert any(v in targets[offsets[v]:offsets[v + 1]]
                    for v in range(graph.enumerated))
+
+
+def test_graphs_share_read_only_selection_matrices():
+    """A selection matrix depends only on its group code, n and the
+    daemon's selection bound, so a second graph of the same ring size and
+    daemon builds none; each shared matrix is read-only and equals a
+    fresh build."""
+    _selection_matrix.cache_clear()
+    TransitionSystem(SSRmin(3, 4), "distributed").graph()
+    built = _selection_matrix.cache_info().misses
+    assert built
+    TransitionSystem(SSRmin(3, 5), "distributed").graph()
+    assert _selection_matrix.cache_info().misses == built
+    for code in range(1 << 6):
+        for max_selection in (None, 1):
+            matrix = _selection_matrix(code, 3, max_selection)
+            assert not matrix.flags.writeable
+            assert np.array_equal(matrix, _selection_matrix.__wrapped__(
+                code, 3, max_selection))
 
 
 @pytest.mark.parametrize("instance", [("ssrmin", 3, 4), ("dijkstra", 4, 5)],
