@@ -29,18 +29,13 @@ Quickstart
 True
 """
 
-from repro.core.ssrmin import SSRmin
-from repro.core.state import Configuration, SSRminState
-from repro.algorithms.dijkstra import DijkstraKState
-from repro.simulation.engine import SharedMemorySimulator
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SSRmin",
-    "Configuration",
-    "SSRminState",
-    "DijkstraKState",
-    "SharedMemorySimulator",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.ssrmin": ("SSRmin",),
+    "repro.core.state": ("Configuration", "SSRminState"),
+    "repro.algorithms.dijkstra": ("DijkstraKState",),
+    "repro.simulation.engine": ("SharedMemorySimulator",),
+}, defined=("__version__",))

@@ -19,16 +19,12 @@
   *does* survive message passing.
 """
 
-from repro.algorithms.base import RingAlgorithm
-from repro.algorithms.dijkstra import DijkstraKState
-from repro.algorithms.dijkstra_four_state import DijkstraFourState
-from repro.algorithms.composition import IndependentComposition
-from repro.algorithms.multi_inclusion import LayeredSSRmin
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RingAlgorithm",
-    "DijkstraKState",
-    "DijkstraFourState",
-    "IndependentComposition",
-    "LayeredSSRmin",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.algorithms.base": ("RingAlgorithm",),
+    "repro.algorithms.dijkstra": ("DijkstraKState",),
+    "repro.algorithms.dijkstra_four_state": ("DijkstraFourState",),
+    "repro.algorithms.composition": ("IndependentComposition",),
+    "repro.algorithms.multi_inclusion": ("LayeredSSRmin",),
+})

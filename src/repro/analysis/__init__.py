@@ -20,44 +20,23 @@
   scipy, which only the ``test`` extra installs).
 """
 
-from repro.analysis.statistics import Summary, summarize
-from repro.analysis.scaling import PowerLawFit, fit_power_law
-from repro.analysis.census import CensusReport, census_execution
-from repro.analysis.tracefmt import format_trace, format_token_movement
-from repro.analysis.rounds import RoundCounter, measure_rounds
-from repro.analysis.superstabilization import (
-    SuperstabilizationReport,
-    study_single_fault,
-)
-from repro.analysis.service import ServiceMonitor, service_report, jain_fairness
-from repro.analysis.profiling import Stopwatch
-from repro.analysis.fairness import FairnessReport, starvation_report
-from repro.analysis.distributions import (
-    DistributionComparison,
-    compare_distributions,
-    effect_size,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Summary",
-    "summarize",
-    "PowerLawFit",
-    "fit_power_law",
-    "CensusReport",
-    "census_execution",
-    "format_trace",
-    "format_token_movement",
-    "RoundCounter",
-    "measure_rounds",
-    "SuperstabilizationReport",
-    "study_single_fault",
-    "ServiceMonitor",
-    "service_report",
-    "jain_fairness",
-    "Stopwatch",
-    "FairnessReport",
-    "starvation_report",
-    "DistributionComparison",
-    "compare_distributions",
-    "effect_size",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.statistics": ("Summary", "summarize"),
+    "repro.analysis.scaling": ("PowerLawFit", "fit_power_law"),
+    "repro.analysis.census": ("CensusReport", "census_execution"),
+    "repro.analysis.tracefmt": ("format_trace", "format_token_movement"),
+    "repro.analysis.rounds": ("RoundCounter", "measure_rounds"),
+    "repro.analysis.superstabilization": (
+        "SuperstabilizationReport", "study_single_fault",
+    ),
+    "repro.analysis.service": (
+        "ServiceMonitor", "service_report", "jain_fairness",
+    ),
+    "repro.analysis.profiling": ("Stopwatch",),
+    "repro.analysis.fairness": ("FairnessReport", "starvation_report"),
+    "repro.analysis.distributions": (
+        "DistributionComparison", "compare_distributions", "effect_size",
+    ),
+})

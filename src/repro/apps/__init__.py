@@ -15,26 +15,15 @@ and graceful handover means activity overlaps during transfer.
   (enter/exit notifications, session logs) over the transformed network.
 """
 
-from repro.apps.monitoring import CameraNetwork, MonitoringReport
-from repro.apps.energy import (
-    EnergyModel,
-    EnergyReport,
-    constant_harvest,
-    diurnal_harvest,
-)
-from repro.apps.handover import HandoverEvent, extract_handovers, all_graceful
-from repro.apps.mutex import CriticalSectionService, Session
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CameraNetwork",
-    "MonitoringReport",
-    "EnergyModel",
-    "EnergyReport",
-    "constant_harvest",
-    "diurnal_harvest",
-    "HandoverEvent",
-    "extract_handovers",
-    "all_graceful",
-    "CriticalSectionService",
-    "Session",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.monitoring": ("CameraNetwork", "MonitoringReport"),
+    "repro.apps.energy": (
+        "EnergyModel", "EnergyReport", "constant_harvest", "diurnal_harvest",
+    ),
+    "repro.apps.handover": (
+        "HandoverEvent", "extract_handovers", "all_graceful",
+    ),
+    "repro.apps.mutex": ("CriticalSectionService", "Session"),
+})

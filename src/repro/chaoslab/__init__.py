@@ -18,68 +18,26 @@ compiled down to ``ChaosOp``\\ s; re-exported here):
   decorator.
 """
 
-from repro.chaoslab.campaign import (
-    CampaignSpec,
-    build_campaign_report,
-    load_campaign_spec,
-    persist_experiment,
-    render_campaign_report,
-    run_campaign,
-)
-from repro.chaoslab.experiment import (
-    ChaosExperiment,
-    ExperimentResult,
-    ExperimentStatus,
-    execute_experiment,
-    run_experiment,
-)
-from repro.chaoslab.observe import (
-    EntryConditionPoint,
-    Observation,
-    ObservationContext,
-    ObservationHarness,
-    ObservationPoint,
-    PredicatePoint,
-    RestabilizeBudgetPoint,
-    TokenCensusPoint,
-    VacancyPoint,
-    default_points,
-)
-from repro.chaoslab.scheduler import ExperimentScheduler
-from repro.chaoslab.testing import resilience_test
-from repro.runtime.chaos import (
-    WINDOW_TYPES,
-    FaultConfig,
-    FaultType,
-    parse_fault_flag,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignSpec",
-    "ChaosExperiment",
-    "EntryConditionPoint",
-    "ExperimentResult",
-    "ExperimentScheduler",
-    "ExperimentStatus",
-    "FaultConfig",
-    "FaultType",
-    "Observation",
-    "ObservationContext",
-    "ObservationHarness",
-    "ObservationPoint",
-    "PredicatePoint",
-    "RestabilizeBudgetPoint",
-    "TokenCensusPoint",
-    "VacancyPoint",
-    "WINDOW_TYPES",
-    "build_campaign_report",
-    "default_points",
-    "execute_experiment",
-    "load_campaign_spec",
-    "parse_fault_flag",
-    "persist_experiment",
-    "render_campaign_report",
-    "resilience_test",
-    "run_campaign",
-    "run_experiment",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.chaoslab.campaign": (
+        "CampaignSpec", "build_campaign_report", "load_campaign_spec",
+        "persist_experiment", "render_campaign_report", "run_campaign",
+    ),
+    "repro.chaoslab.experiment": (
+        "ChaosExperiment", "ExperimentResult", "ExperimentStatus",
+        "execute_experiment", "run_experiment",
+    ),
+    "repro.chaoslab.observe": (
+        "EntryConditionPoint", "Observation", "ObservationContext",
+        "ObservationHarness", "ObservationPoint", "PredicatePoint",
+        "RestabilizeBudgetPoint", "TokenCensusPoint", "VacancyPoint",
+        "default_points",
+    ),
+    "repro.chaoslab.scheduler": ("ExperimentScheduler",),
+    "repro.chaoslab.testing": ("resilience_test",),
+    "repro.runtime.chaos": (
+        "WINDOW_TYPES", "FaultConfig", "FaultType", "parse_fault_flag",
+    ),
+})

@@ -17,31 +17,16 @@ This subpackage implements the paper's primary contribution:
   alpha_2) of section 3.1, used as a cross-validation reference.
 """
 
-from repro.core.state import SSRminState, Configuration
-from repro.core.ssrmin import SSRmin
-from repro.core.tokens import (
-    holds_primary,
-    holds_secondary,
-    token_holders,
-    primary_holders,
-    secondary_holders,
-)
-from repro.core.legitimacy import (
-    is_legitimate,
-    canonical_cycle,
-    legitimate_configurations,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SSRminState",
-    "Configuration",
-    "SSRmin",
-    "holds_primary",
-    "holds_secondary",
-    "token_holders",
-    "primary_holders",
-    "secondary_holders",
-    "is_legitimate",
-    "canonical_cycle",
-    "legitimate_configurations",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.state": ("SSRminState", "Configuration"),
+    "repro.core.ssrmin": ("SSRmin",),
+    "repro.core.tokens": (
+        "holds_primary", "holds_secondary", "token_holders", "primary_holders",
+        "secondary_holders",
+    ),
+    "repro.core.legitimacy": (
+        "is_legitimate", "canonical_cycle", "legitimate_configurations",
+    ),
+})

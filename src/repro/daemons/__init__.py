@@ -23,30 +23,17 @@ scheduler — so this package provides a spectrum of schedulers to exercise it:
   (deterministic regression tests, Figure 4).
 """
 
-from repro.daemons.base import Daemon
-from repro.daemons.central import (
-    RandomCentralDaemon,
-    RoundRobinDaemon,
-    FixedPriorityDaemon,
-)
-from repro.daemons.distributed import (
-    SynchronousDaemon,
-    RandomSubsetDaemon,
-    BernoulliDaemon,
-)
-from repro.daemons.adversarial import AdversarialDaemon
-from repro.daemons.replay import ReplayDaemon
-from repro.daemons.weighted import WeightedUnfairDaemon
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Daemon",
-    "RandomCentralDaemon",
-    "RoundRobinDaemon",
-    "FixedPriorityDaemon",
-    "SynchronousDaemon",
-    "RandomSubsetDaemon",
-    "BernoulliDaemon",
-    "AdversarialDaemon",
-    "WeightedUnfairDaemon",
-    "ReplayDaemon",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.daemons.base": ("Daemon",),
+    "repro.daemons.central": (
+        "RandomCentralDaemon", "RoundRobinDaemon", "FixedPriorityDaemon",
+    ),
+    "repro.daemons.distributed": (
+        "SynchronousDaemon", "RandomSubsetDaemon", "BernoulliDaemon",
+    ),
+    "repro.daemons.adversarial": ("AdversarialDaemon",),
+    "repro.daemons.replay": ("ReplayDaemon",),
+    "repro.daemons.weighted": ("WeightedUnfairDaemon",),
+})

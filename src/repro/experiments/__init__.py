@@ -7,20 +7,12 @@ the paper-claim-vs-measured verdict).  The registry maps experiment ids
 through it, and :mod:`repro.experiments.report` renders EXPERIMENTS.md.
 """
 
-from repro.experiments.registry import (
-    ExperimentResult,
-    REGISTRY,
-    get_experiment,
-    run_experiment,
-    list_experiments,
-)
-from repro.experiments.parallel import run_experiments_parallel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "REGISTRY",
-    "get_experiment",
-    "run_experiment",
-    "list_experiments",
-    "run_experiments_parallel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.registry": (
+        "ExperimentResult", "REGISTRY", "get_experiment", "run_experiment",
+        "list_experiments",
+    ),
+    "repro.experiments.parallel": ("run_experiments_parallel",),
+})

@@ -18,6 +18,8 @@ new backend (or a new algorithm in PR 11+) lands its semantics once:
   numpy expressions over ``(trials, n)`` state arrays and the lockstep
   step loop behind the convergence-cell runner and the configuration
   stepper;
+* :mod:`repro.kernels.daemon_families` — the daemon-family axis values
+  and their parser (``parse_daemon``), which sweep specs validate with;
 * :mod:`repro.kernels.prng` — counter-based (splitmix64) randomness that
   makes batched trajectories a pure function of per-cell seeds;
 * :mod:`repro.kernels.census` — the incremental own-view token census
@@ -25,45 +27,23 @@ new backend (or a new algorithm in PR 11+) lands its semantics once:
   DES and the live health monitor share.
 
 Scalar consumers import the scalar modules only; numpy is required just
-for :mod:`~repro.kernels.batched` / :mod:`~repro.kernels.prng`.
+for :mod:`~repro.kernels.batched` / :mod:`~repro.kernels.prng`.  The
+re-exports below are lazy (:mod:`repro._lazy`), so importing this package
+imports none of its modules.
 """
 
-from repro.kernels.packing import (
-    pack_ssrmin,
-    ssrmin_decode_table,
-    ssrmin_h,
-    ssrmin_word_bound,
-    ssrmin_words_legitimate,
-    ssrmin_x,
-    unpack_ssrmin,
-)
-from repro.kernels.rule_table import (
-    DIJKSTRA_RULE_NAMES,
-    RULE_TABLE,
-    SSRMIN_RULE_NAMES,
-    build_rule_table,
-    rule_index,
-)
-from repro.kernels.successor import (
-    execute_dijkstra_word,
-    execute_ssrmin_word,
-    next_x,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DIJKSTRA_RULE_NAMES",
-    "RULE_TABLE",
-    "SSRMIN_RULE_NAMES",
-    "build_rule_table",
-    "execute_dijkstra_word",
-    "execute_ssrmin_word",
-    "next_x",
-    "pack_ssrmin",
-    "rule_index",
-    "ssrmin_decode_table",
-    "ssrmin_h",
-    "ssrmin_word_bound",
-    "ssrmin_words_legitimate",
-    "ssrmin_x",
-    "unpack_ssrmin",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.kernels.packing": (
+        "pack_ssrmin", "ssrmin_decode_table", "ssrmin_h", "ssrmin_word_bound",
+        "ssrmin_words_legitimate", "ssrmin_x", "unpack_ssrmin",
+    ),
+    "repro.kernels.rule_table": (
+        "DIJKSTRA_RULE_NAMES", "RULE_TABLE", "SSRMIN_RULE_NAMES",
+        "build_rule_table", "rule_index",
+    ),
+    "repro.kernels.successor": (
+        "execute_dijkstra_word", "execute_ssrmin_word", "next_x",
+    ),
+})

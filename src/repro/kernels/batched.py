@@ -54,6 +54,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.kernels.daemon_families import DAEMON_FAMILIES, parse_daemon
 from repro.kernels.prng import (
     coin_bound,
     grid_integers,
@@ -185,29 +186,6 @@ def batched_legitimate(X: np.ndarray, H: np.ndarray, K: int) -> np.ndarray:
     shape_ab = (nonzero == 1) & ((h_pos == 1) | (h_pos == 2))
     shape_c = (nonzero == 2) & (h_pos == 2) & (h_succ == 1)
     return dijkstra_ok & (shape_ab | shape_c)
-
-
-# -- daemon families ---------------------------------------------------------
-
-#: Daemon-family axis values the convergence runner understands.
-DAEMON_FAMILIES = ("synchronous", "central", "bernoulli")
-
-
-def parse_daemon(spec: str) -> Tuple[str, float]:
-    """``"synchronous" | "central" | "bernoulli:<p>"`` -> (kind, p)."""
-    if spec == "synchronous":
-        return "synchronous", 1.0
-    if spec == "central":
-        return "central", 0.0
-    if spec.startswith("bernoulli:"):
-        p = float(spec.split(":", 1)[1])
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"bernoulli parameter must be in (0, 1], got {p}")
-        return "bernoulli", p
-    raise ValueError(
-        f"unknown daemon family {spec!r}; expected one of "
-        f"'synchronous', 'central', 'bernoulli:<p>'"
-    )
 
 
 def _enabled_positions(

@@ -25,34 +25,21 @@ This package is a discrete-event simulation of that world:
   evaluation.
 """
 
-from repro.messagepassing.des import EventQueue, Event
-from repro.messagepassing.links import (
-    Link,
-    FixedDelay,
-    UniformDelay,
-    ExponentialDelay,
-)
-from repro.messagepassing.node import CSTNode
-from repro.messagepassing.network import MessagePassingNetwork, build_cst_network
-from repro.messagepassing.coherence import is_cache_coherent
-from repro.messagepassing.timeline import TokenTimeline
-from repro.messagepassing.trace import MessageTrace, render_sequence_diagram
-from repro.messagepassing.wireless import WirelessMedium, build_wireless_network
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EventQueue",
-    "Event",
-    "Link",
-    "FixedDelay",
-    "UniformDelay",
-    "ExponentialDelay",
-    "CSTNode",
-    "MessagePassingNetwork",
-    "build_cst_network",
-    "is_cache_coherent",
-    "TokenTimeline",
-    "MessageTrace",
-    "render_sequence_diagram",
-    "WirelessMedium",
-    "build_wireless_network",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.messagepassing.des": ("EventQueue", "Event"),
+    "repro.messagepassing.links": (
+        "Link", "FixedDelay", "UniformDelay", "ExponentialDelay",
+    ),
+    "repro.messagepassing.node": ("CSTNode",),
+    "repro.messagepassing.network": (
+        "MessagePassingNetwork", "build_cst_network",
+    ),
+    "repro.messagepassing.coherence": ("is_cache_coherent",),
+    "repro.messagepassing.timeline": ("TokenTimeline",),
+    "repro.messagepassing.trace": ("MessageTrace", "render_sequence_diagram"),
+    "repro.messagepassing.wireless": (
+        "WirelessMedium", "build_wireless_network",
+    ),
+})

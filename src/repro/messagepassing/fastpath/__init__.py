@@ -43,6 +43,8 @@ reference path).
 
 from __future__ import annotations
 
+from repro._lazy import lazy_exports
+
 
 def resolve_mp_codec(algorithm, use_fastpath: bool = True):
     """The algorithm's MP codec, or ``None`` for the reference engine.
@@ -58,4 +60,5 @@ def resolve_mp_codec(algorithm, use_fastpath: bool = True):
     return probe() if callable(probe) else None
 
 
-__all__ = ["resolve_mp_codec"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__, {}, defined=("resolve_mp_codec",))

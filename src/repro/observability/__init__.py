@@ -24,62 +24,22 @@ See ``docs/OBSERVABILITY.md`` for the schema, SLO spec format and the
 incident lifecycle.
 """
 
-from repro.observability.dashboard import (
-    RingRow,
-    TopRingSpec,
-    render_rows,
-    run_top_fleet,
-    top_curses,
-    top_plain,
-)
-from repro.observability.incidents import IncidentTracker, render_incidents
-from repro.observability.ingest import (
-    StoreSubscriber,
-    ingest_fleet_report,
-    ingest_live_report,
-    ingest_manifest,
-    recorded_ok,
-)
-from repro.observability.slo import (
-    SloResult,
-    SloSpec,
-    default_slos,
-    disturbance_class,
-    evaluate_slos,
-    load_slo_specs,
-    merge_epochs,
-    quantile,
-    render_slo_report,
-    restabilize_stats,
-    vacancy_stats,
-)
-from repro.observability.store import DEFAULT_STORE_PATH, RunStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_STORE_PATH",
-    "IncidentTracker",
-    "RingRow",
-    "RunStore",
-    "SloResult",
-    "SloSpec",
-    "StoreSubscriber",
-    "TopRingSpec",
-    "default_slos",
-    "disturbance_class",
-    "evaluate_slos",
-    "ingest_fleet_report",
-    "ingest_live_report",
-    "ingest_manifest",
-    "load_slo_specs",
-    "merge_epochs",
-    "quantile",
-    "recorded_ok",
-    "render_incidents",
-    "render_rows",
-    "render_slo_report",
-    "restabilize_stats",
-    "run_top_fleet",
-    "top_curses",
-    "top_plain",
-    "vacancy_stats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.observability.dashboard": (
+        "RingRow", "TopRingSpec", "render_rows", "run_top_fleet", "top_curses",
+        "top_plain",
+    ),
+    "repro.observability.incidents": ("IncidentTracker", "render_incidents"),
+    "repro.observability.ingest": (
+        "StoreSubscriber", "ingest_fleet_report", "ingest_live_report",
+        "ingest_manifest", "recorded_ok",
+    ),
+    "repro.observability.slo": (
+        "SloResult", "SloSpec", "default_slos", "disturbance_class",
+        "evaluate_slos", "load_slo_specs", "merge_epochs", "quantile",
+        "render_slo_report", "restabilize_stats", "vacancy_stats",
+    ),
+    "repro.observability.store": ("DEFAULT_STORE_PATH", "RunStore"),
+})

@@ -11,7 +11,9 @@ any neighbourhood structure even though this reproduction exercises it on
 rings.
 """
 
-from repro.ring.topology import GeneralTopology, RingTopology
-from repro.ring.addressing import pred, succ
+from repro._lazy import lazy_exports
 
-__all__ = ["RingTopology", "GeneralTopology", "pred", "succ"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ring.topology": ("GeneralTopology", "RingTopology"),
+    "repro.ring.addressing": ("pred", "succ"),
+})

@@ -26,86 +26,29 @@ on the CLI, or
 :func:`~repro.runtime.fleet.run_fleet` from Python.
 """
 
-from repro.runtime.chaos import (
-    PRESETS,
-    ChaosDirector,
-    ChaosOp,
-    ChaosScript,
-    build_script,
-)
-from repro.runtime.fleet import (
-    FleetSupervisor,
-    RingSpec,
-    default_specs,
-    fleet_id,
-    render_fleet_report,
-    run_fleet,
-    run_fleet_sharded,
-)
-from repro.runtime.harness import (
-    build_algorithm,
-    install_uvloop,
-    live_chaos,
-    live_run,
-    loop_name,
-    render_live_report,
-)
-from repro.runtime.health import Epoch, HealthMonitor, HealthSnapshot
-from repro.runtime.loadgen import LoadGenerator, LoadReport
-from repro.runtime.server import LinkPort, RingNodeServer
-from repro.runtime.supervisor import RingSupervisor
-from repro.runtime.transport import (
-    ChaosTransport,
-    LoopbackTransport,
-    MuxUdpTransport,
-    RingView,
-    Transport,
-    UdpTransport,
-)
-from repro.runtime.wire import (
-    Wire,
-    WireError,
-    decode_message,
-    encode_message,
-    make_wire,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PRESETS",
-    "ChaosDirector",
-    "ChaosOp",
-    "ChaosScript",
-    "ChaosTransport",
-    "Epoch",
-    "FleetSupervisor",
-    "HealthMonitor",
-    "HealthSnapshot",
-    "LinkPort",
-    "LoadGenerator",
-    "LoadReport",
-    "LoopbackTransport",
-    "MuxUdpTransport",
-    "RingNodeServer",
-    "RingSpec",
-    "RingSupervisor",
-    "RingView",
-    "Transport",
-    "UdpTransport",
-    "Wire",
-    "WireError",
-    "build_algorithm",
-    "build_script",
-    "decode_message",
-    "default_specs",
-    "encode_message",
-    "fleet_id",
-    "install_uvloop",
-    "live_chaos",
-    "live_run",
-    "loop_name",
-    "make_wire",
-    "render_fleet_report",
-    "render_live_report",
-    "run_fleet",
-    "run_fleet_sharded",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runtime.chaos": (
+        "PRESETS", "ChaosDirector", "ChaosOp", "ChaosScript", "build_script",
+    ),
+    "repro.runtime.fleet": (
+        "FleetSupervisor", "RingSpec", "default_specs", "fleet_id",
+        "render_fleet_report", "run_fleet", "run_fleet_sharded",
+    ),
+    "repro.runtime.harness": (
+        "build_algorithm", "install_uvloop", "live_chaos", "live_run",
+        "loop_name", "render_live_report",
+    ),
+    "repro.runtime.health": ("Epoch", "HealthMonitor", "HealthSnapshot"),
+    "repro.runtime.loadgen": ("LoadGenerator", "LoadReport"),
+    "repro.runtime.server": ("LinkPort", "RingNodeServer"),
+    "repro.runtime.supervisor": ("RingSupervisor",),
+    "repro.runtime.transport": (
+        "ChaosTransport", "LoopbackTransport", "MuxUdpTransport", "RingView",
+        "Transport", "UdpTransport",
+    ),
+    "repro.runtime.wire": (
+        "Wire", "WireError", "decode_message", "encode_message", "make_wire",
+    ),
+})

@@ -42,13 +42,13 @@ plus a settle time; :func:`build_script` compiles one for any ``n`` and
 
 from __future__ import annotations
 
-import asyncio
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Tuple
 
-from repro.runtime.transport import ChaosTransport
+if TYPE_CHECKING:
+    from repro.runtime.transport import ChaosTransport
 
 
 class FaultType(str, Enum):
@@ -166,7 +166,11 @@ class ChaosScript:
 
 
 class ChaosDirector:
-    """Executes one script against a supervisor's transport and nodes."""
+    """Executes one script against a supervisor's transport and nodes.
+
+    asyncio is imported where a script plays, not with this module, so
+    the CLI reads :data:`PRESETS` for its parser without the event loop.
+    """
 
     def __init__(self, script: ChaosScript, supervisor) -> None:
         self.script = script
@@ -174,6 +178,8 @@ class ChaosDirector:
 
     async def run(self) -> None:
         """Play the script to completion (relative to the run clock)."""
+        import asyncio
+
         sup = self.supervisor
         for op in sorted(self.script.ops, key=lambda o: o.at):
             delay = op.at - sup.clock()
@@ -189,6 +195,8 @@ class ChaosDirector:
 
     # -- op application ------------------------------------------------------
     def _apply(self, op: ChaosOp) -> None:
+        import asyncio
+
         sup = self.supervisor
         sup.publish("chaos", op=op.kind, duration=op.duration,
                     **{k: v for k, v in op.params.items()})

@@ -16,37 +16,17 @@ The batched numpy engine that advances thousands of SSRmin instances in
 lockstep is :mod:`repro.kernels.batched`; this package does not import numpy.
 """
 
-from repro.simulation.engine import SharedMemorySimulator, SimulationResult
-from repro.simulation.execution import Execution, Move
-from repro.simulation.monitors import (
-    Monitor,
-    TokenCountMonitor,
-    LegitimacyMonitor,
-    RuleCensusMonitor,
-    CriticalSectionMonitor,
-    InvariantViolation,
-)
-from repro.simulation.convergence import (
-    converge,
-    convergence_steps,
-    ConvergenceResult,
-)
-from repro.simulation.serialize import save_execution, load_execution
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SharedMemorySimulator",
-    "SimulationResult",
-    "Execution",
-    "Move",
-    "Monitor",
-    "TokenCountMonitor",
-    "LegitimacyMonitor",
-    "RuleCensusMonitor",
-    "CriticalSectionMonitor",
-    "InvariantViolation",
-    "converge",
-    "convergence_steps",
-    "ConvergenceResult",
-    "save_execution",
-    "load_execution",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.simulation.engine": ("SharedMemorySimulator", "SimulationResult"),
+    "repro.simulation.execution": ("Execution", "Move"),
+    "repro.simulation.monitors": (
+        "Monitor", "TokenCountMonitor", "LegitimacyMonitor",
+        "RuleCensusMonitor", "CriticalSectionMonitor", "InvariantViolation",
+    ),
+    "repro.simulation.convergence": (
+        "converge", "convergence_steps", "ConvergenceResult",
+    ),
+    "repro.simulation.serialize": ("save_execution", "load_execution"),
+})

@@ -32,7 +32,7 @@ plus the exhaustive n=3 state space).  See ``docs/PERFORMANCE.md``.
 
 from __future__ import annotations
 
-from repro.simulation.fastpath.kernel import FastKernel, PackedView
+from repro._lazy import lazy_exports
 
 
 def resolve_kernel(algorithm, use_fastpath: bool = True):
@@ -48,8 +48,6 @@ def resolve_kernel(algorithm, use_fastpath: bool = True):
     return probe() if callable(probe) else None
 
 
-__all__ = [
-    "FastKernel",
-    "PackedView",
-    "resolve_kernel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.simulation.fastpath.kernel": ("FastKernel", "PackedView"),
+}, defined=("resolve_kernel",))

@@ -18,20 +18,13 @@ grid, Theorem 4's loss sweep included, runs through its engine:
 CLI surface: ``repro sweep run|resume|status|report``.
 """
 
-from repro.sweeps.engine import resume_sweep, run_cells, run_sweep
-from repro.sweeps.report import build_sweep_report, render_report, render_status
-from repro.sweeps.spec import CellSpec, SweepSpec
-from repro.sweeps.store import SweepStore, sweep_dir
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CellSpec",
-    "SweepSpec",
-    "SweepStore",
-    "build_sweep_report",
-    "render_report",
-    "render_status",
-    "resume_sweep",
-    "run_cells",
-    "run_sweep",
-    "sweep_dir",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sweeps.engine": ("resume_sweep", "run_cells", "run_sweep"),
+    "repro.sweeps.report": (
+        "build_sweep_report", "render_report", "render_status",
+    ),
+    "repro.sweeps.spec": ("CellSpec", "SweepSpec"),
+    "repro.sweeps.store": ("SweepStore", "sweep_dir"),
+})

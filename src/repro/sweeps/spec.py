@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 from itertools import product
 from typing import Any, Dict, List, Tuple
 
-from repro.kernels.batched import parse_daemon
+from repro.kernels.daemon_families import parse_daemon
 
 #: Spec kinds and the axes each one sweeps.
 KIND_AXES: Dict[str, Tuple[str, ...]] = {

@@ -50,6 +50,10 @@ STATUS_COMPLETED = "completed"
 #: coin draws) while amortizing numpy dispatch and sqlite commits.
 GROUP_CHUNK = 256
 
+#: ``json.dumps(value, sort_keys=True)`` without building an encoder per
+#: call; it writes the same bytes.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 def sweep_dir(base_dir: str, name: str) -> str:
     """The checkpoint directory of a named sweep."""
@@ -219,8 +223,8 @@ class SweepStore:
         """
         index, seed = int(cell.index), int(cell.seed)
         wall = round(float(wall_seconds), 6)
-        params = json.dumps(cell.params, sort_keys=True)
-        encoded = json.dumps(result, sort_keys=True)
+        params = _encode(cell.params)
+        encoded = _encode(result)
         if self._append_fh is None:
             self._open_append()
         # Byte for byte ``json.dumps(record, sort_keys=True)`` of the

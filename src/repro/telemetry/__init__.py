@@ -20,43 +20,20 @@ The observability layer shared by both execution models (see
   emission for long sweeps.
 """
 
-from repro.telemetry.events import Event, EventBus
-from repro.telemetry.export import (
-    JsonlTraceWriter,
-    iter_trace,
-    read_trace,
-    write_events,
-)
-from repro.telemetry.manifest import build_manifest
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.progress import ProgressEmitter
-from repro.telemetry.session import (
-    TelemetrySession,
-    current_session,
-    telemetry_session,
-)
-from repro.telemetry.stats import TraceStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventBus",
-    "JsonlTraceWriter",
-    "iter_trace",
-    "read_trace",
-    "write_events",
-    "build_manifest",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ProgressEmitter",
-    "TelemetrySession",
-    "current_session",
-    "telemetry_session",
-    "TraceStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.events": ("Event", "EventBus"),
+    "repro.telemetry.export": (
+        "JsonlTraceWriter", "iter_trace", "read_trace", "write_events",
+    ),
+    "repro.telemetry.manifest": ("build_manifest",),
+    "repro.telemetry.metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    ),
+    "repro.telemetry.progress": ("ProgressEmitter",),
+    "repro.telemetry.session": (
+        "TelemetrySession", "current_session", "telemetry_session",
+    ),
+    "repro.telemetry.stats": ("TraceStats",),
+})

@@ -25,30 +25,16 @@ engine, fastpath kernels and CST projection, an adversarial fuzzer, a
 witness shrinker and the ``tests/corpus`` replay format.
 """
 
-from repro.verification.transition_system import TransitionSystem
-from repro.verification.model_checker import (
-    check_self_stabilization,
-    StabilizationReport,
-    worst_case_convergence_steps,
-)
-from repro.verification.properties import (
-    always,
-    eventually,
-    eventually_always,
-    leads_to,
-    until,
-    PropertyResult,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TransitionSystem",
-    "check_self_stabilization",
-    "StabilizationReport",
-    "worst_case_convergence_steps",
-    "always",
-    "eventually",
-    "eventually_always",
-    "leads_to",
-    "until",
-    "PropertyResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.verification.transition_system": ("TransitionSystem",),
+    "repro.verification.model_checker": (
+        "check_self_stabilization", "StabilizationReport",
+        "worst_case_convergence_steps",
+    ),
+    "repro.verification.properties": (
+        "always", "eventually", "eventually_always", "leads_to", "until",
+        "PropertyResult",
+    ),
+})

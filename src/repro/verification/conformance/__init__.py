@@ -20,51 +20,20 @@ engine, the packed fastpath kernels, and the CST message-passing transform
 CLI: ``python -m repro fuzz run|shrink|replay|seed-corpus``.
 """
 
-from repro.verification.conformance.oracle import (
-    TOKEN_BOUNDS,
-    ConformanceReport,
-    Divergence,
-    LockstepOracle,
-)
-from repro.verification.conformance.fuzzer import (
-    DAEMON_FAMILIES,
-    CampaignResult,
-    DivergenceRecord,
-    Scenario,
-    generate_scenario,
-    make_daemon,
-    run_campaign,
-    run_trial,
-)
-from repro.verification.conformance.shrink import ShrinkStats, shrink_witness
-from repro.verification.conformance.witness import (
-    ReplayOutcome,
-    Witness,
-    build_algorithm,
-    corpus_files,
-    replay_witness_file,
-)
-from repro.verification.conformance.seeds import seed_corpus
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TOKEN_BOUNDS",
-    "ConformanceReport",
-    "Divergence",
-    "LockstepOracle",
-    "DAEMON_FAMILIES",
-    "CampaignResult",
-    "DivergenceRecord",
-    "Scenario",
-    "generate_scenario",
-    "make_daemon",
-    "run_campaign",
-    "run_trial",
-    "ShrinkStats",
-    "shrink_witness",
-    "ReplayOutcome",
-    "Witness",
-    "build_algorithm",
-    "corpus_files",
-    "replay_witness_file",
-    "seed_corpus",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.verification.conformance.oracle": (
+        "TOKEN_BOUNDS", "ConformanceReport", "Divergence", "LockstepOracle",
+    ),
+    "repro.verification.conformance.fuzzer": (
+        "DAEMON_FAMILIES", "CampaignResult", "DivergenceRecord", "Scenario",
+        "generate_scenario", "make_daemon", "run_campaign", "run_trial",
+    ),
+    "repro.verification.conformance.shrink": ("ShrinkStats", "shrink_witness"),
+    "repro.verification.conformance.witness": (
+        "ReplayOutcome", "Witness", "build_algorithm", "corpus_files",
+        "replay_witness_file",
+    ),
+    "repro.verification.conformance.seeds": ("seed_corpus",),
+})

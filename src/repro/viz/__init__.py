@@ -7,7 +7,9 @@
   distributions.
 """
 
-from repro.viz.ascii import render_ring, render_timeline
-from repro.viz.histogram import render_histogram
+from repro._lazy import lazy_exports
 
-__all__ = ["render_ring", "render_timeline", "render_histogram"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.viz.ascii": ("render_ring", "render_timeline"),
+    "repro.viz.histogram": ("render_histogram",),
+})

@@ -216,3 +216,27 @@ def test_close_commits_rows_recorded_without_finish(tmp_path):
         sweep_id = store.sweep_id
         with RunStore(path) as reader:
             assert reader.sweep_cell_indexes(sweep_id) == [2]
+
+
+def test_recorded_line_bytes_are_pinned(tmp_path):
+    """One checkpoint line, byte for byte: keys sorted at every level,
+    ASCII escapes, ``null``, and the wall time rounded to microseconds."""
+    base = str(tmp_path)
+    cell = CellSpec(index=4, key="n=8/loss=0.1/seed=12",
+                    params={"seed": 12, "n": 8, "loss": 0.1, "tag": "é"},
+                    seed=12)
+    result = {"stabilized_at": 41.25, "min_tokens": 1, "events": 903,
+              "zero_time": 0.0, "note": None}
+    with RunStore(":memory:") as rs:
+        with SweepStore.create(_spec(), base, rs) as store:
+            store.record(cell, result, "per-cell", 0.0123456789)
+    path = os.path.join(sweep_dir(base, "s"), "cells.jsonl")
+    with open(path, "rb") as fh:
+        assert fh.read() == (
+            b'{"engine": "per-cell", "index": 4, '
+            b'"key": "n=8/loss=0.1/seed=12", '
+            b'"params": {"loss": 0.1, "n": 8, "seed": 12, "tag": "\\u00e9"}, '
+            b'"result": {"events": 903, "min_tokens": 1, "note": null, '
+            b'"stabilized_at": 41.25, "zero_time": 0.0}, '
+            b'"seed": 12, "wall_seconds": 0.012346}\n'
+        )
