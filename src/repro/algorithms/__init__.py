@@ -19,7 +19,29 @@
   *does* survive message passing.
 """
 
+from __future__ import annotations
+
 from repro._lazy import lazy_exports
+
+
+def build_algorithm(name: str, n: int, K: int | None = None):
+    """The ring algorithm a name stands for: ``ssrmin`` or ``dijkstra``.
+
+    Sweep cells, conformance witnesses and live rings name their algorithm
+    this way.  Both constructors default ``K`` to ``n + 1``.  Only the
+    class asked for is imported, so this package stays free of numpy and
+    asyncio.
+    """
+    if name == "ssrmin":
+        from repro.core.ssrmin import SSRmin
+
+        return SSRmin(n, K)
+    if name == "dijkstra":
+        from repro.algorithms.dijkstra import DijkstraKState
+
+        return DijkstraKState(n, K)
+    raise ValueError(f"unknown algorithm {name!r} (known: ssrmin, dijkstra)")
+
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.algorithms.base": ("RingAlgorithm",),
@@ -27,4 +49,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.algorithms.dijkstra_four_state": ("DijkstraFourState",),
     "repro.algorithms.composition": ("IndependentComposition",),
     "repro.algorithms.multi_inclusion": ("LayeredSSRmin",),
-})
+}, defined=("build_algorithm",))

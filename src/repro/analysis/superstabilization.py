@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.ssrmin import SSRmin
-from repro.daemons.base import Daemon
+from repro.simulation.engine import SharedMemorySimulator
 from repro.simulation.initial import perturbed_legitimate
+from repro.simulation.monitors import TokenCountMonitor
 
 
 @dataclass
@@ -97,27 +98,19 @@ def study_single_fault(
     for t in range(trials):
         rng = random.Random(seed + t)
         config = perturbed_legitimate(algorithm, rng, faults=1)
-        daemon: Daemon = daemon_factory(algorithm, seed + t)
-        daemon.reset()
-
-        lo = hi = len(algorithm.privileged(config))
-        steps = 0
-        while steps < budget and not algorithm.is_legitimate(config):
-            enabled = algorithm.enabled_processes(config)
-            if not enabled:
-                raise RuntimeError("deadlock during single-fault recovery")
-            config = algorithm.step(
-                config, daemon.select(enabled, config, steps)
-            )
-            steps += 1
-            count = len(algorithm.privileged(config))
-            lo = min(lo, count)
-            hi = max(hi, count)
-        if not algorithm.is_legitimate(config):
+        tokens = TokenCountMonitor(algorithm, only_when_legitimate=False)
+        result = SharedMemorySimulator(
+            algorithm, daemon_factory(algorithm, seed + t), monitors=[tokens]
+        ).run(config, max_steps=budget, stop_when=algorithm.is_legitimate,
+              record=False)
+        if result.deadlocked:
+            raise RuntimeError("deadlock during single-fault recovery")
+        if not result.stopped_by_predicate:
             raise RuntimeError(f"trial {t} exhausted the recovery budget")
+        lo, hi = tokens.min_count(), tokens.max_count()
         records.append(
             SingleFaultRecord(
-                recovery_steps=steps,
+                recovery_steps=result.steps,
                 safety_held=lo >= 1,
                 max_token_count=hi,
                 min_token_count=lo,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, List, Optional, Union
 
+from repro.algorithms import build_algorithm
 from repro.runtime.chaos import preset
 from repro.runtime.supervisor import RingSupervisor
 
@@ -52,19 +53,6 @@ def loop_name() -> str:
         "uvloop" if type(policy).__module__.startswith("uvloop")
         else "asyncio"
     )
-
-
-def build_algorithm(name: str, n: int, K: Optional[int] = None):
-    """Instantiate ``ssrmin`` or ``dijkstra`` for a live deployment."""
-    if name == "ssrmin":
-        from repro.core.ssrmin import SSRmin
-
-        return SSRmin(n, K)
-    if name == "dijkstra":
-        from repro.algorithms.dijkstra import DijkstraKState
-
-        return DijkstraKState(n, K if K is not None else n + 1)
-    raise ValueError(f"unknown algorithm {name!r} (ssrmin, dijkstra)")
 
 
 async def _run(

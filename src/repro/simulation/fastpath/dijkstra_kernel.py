@@ -85,12 +85,6 @@ class DijkstraKernel(FastKernel):
     def native_state(self, i: int) -> int:
         return self._x[i]
 
-    def native_states(self, config: Any) -> Tuple[int, ...]:
-        return tuple(config)
-
-    def wrap_states(self, states: Tuple[int, ...]) -> Tuple[int, ...]:
-        return states
-
     # -- enabledness ---------------------------------------------------------
     def enabled(self) -> Tuple[int, ...]:
         cache = self._enabled_cache

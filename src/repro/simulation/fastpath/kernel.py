@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Sequence as _SequenceABC
-from typing import Any, Dict, Iterator, Sequence, Tuple
+from typing import Any, Iterator, Sequence, Tuple
 
 
 class FastKernel(abc.ABC):
@@ -68,14 +68,6 @@ class FastKernel(abc.ABC):
     def native_state(self, i: int) -> Any:
         """Process ``i``'s local state in the algorithm's native form."""
 
-    @abc.abstractmethod
-    def native_states(self, config: Any) -> Tuple[Any, ...]:
-        """``config`` as a flat tuple of native local states (no load)."""
-
-    @abc.abstractmethod
-    def wrap_states(self, states: Tuple[Any, ...]) -> Any:
-        """Build an algorithm-native configuration from trusted states."""
-
     # -- enabledness ---------------------------------------------------------
     @abc.abstractmethod
     def enabled(self) -> Tuple[int, ...]:
@@ -110,10 +102,6 @@ class FastKernel(abc.ABC):
         the successor generator evaluates all enabled commands once per
         configuration and reuses them across daemon selections.
         """
-
-    def updates(self, selection: Sequence[int]) -> Dict[int, Any]:
-        """:meth:`update` for every process in ``selection``."""
-        return {i: self.update(i) for i in selection}
 
     # -- predicates ----------------------------------------------------------
     @abc.abstractmethod

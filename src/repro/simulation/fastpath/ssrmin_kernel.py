@@ -26,7 +26,7 @@ shape verification only runs on configurations that already look converged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 from repro.core.state import Configuration, StateTuple
 from repro.kernels.packing import ssrmin_word_bound
@@ -121,12 +121,6 @@ class SSRminKernel(FastKernel):
     def native_state(self, i: int) -> StateTuple:
         hi = self._h[i]
         return (self._x[i], hi >> 1, hi & 1)
-
-    def native_states(self, config: Any) -> Tuple[StateTuple, ...]:
-        return config.states if isinstance(config, Configuration) else tuple(config)
-
-    def wrap_states(self, states: Tuple[StateTuple, ...]) -> Configuration:
-        return Configuration.from_states(states)
 
     # -- enabledness ---------------------------------------------------------
     def enabled(self) -> Tuple[int, ...]:

@@ -49,19 +49,6 @@ from repro.sweeps.store import GROUP_CHUNK, SweepStore
 #: Execution modes: ``auto`` batches whatever is batchable.
 MODES = ("auto", "batched", "per-cell")
 
-#: Algorithm factories by name (names, not classes, cross process
-#: boundaries in per-cell mode).
-def _make_algorithm(algorithm: str, n: int):
-    if algorithm == "ssrmin":
-        from repro.core.ssrmin import SSRmin
-
-        return SSRmin(n, n + 1)
-    if algorithm == "dijkstra":
-        from repro.algorithms.dijkstra import DijkstraKState
-
-        return DijkstraKState(n, n + 1)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
 
 def _convergence_cell_worker(payload: tuple) -> Dict[str, Any]:
     """One convergence cell as an isolated task (module-level, picklable).
@@ -82,12 +69,13 @@ def _des_cell_worker(payload: tuple) -> Dict[str, Any]:
     """One DES chaos-to-stabilized cell (module-level, picklable)."""
     (algorithm, n, loss, delay_scale, duplication, seed,
      slice_duration, max_time, gap_duration) = payload
+    from repro.algorithms import build_algorithm
     from repro.messagepassing.coherence import CoherenceTracker
     from repro.messagepassing.cst import transformed_from_chaos
     from repro.messagepassing.links import UniformDelay
     from repro.messagepassing.modelgap import evaluate_gap
 
-    alg = _make_algorithm(algorithm, n)
+    alg = build_algorithm(algorithm, n)
     net = transformed_from_chaos(
         alg,
         seed=seed,

@@ -27,25 +27,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.algorithms import build_algorithm
+
 FORMAT = "repro-conformance-witness"
 FORMAT_VERSION = 1
-
-#: Registered algorithm constructors: name -> factory(n, K).
-ALGORITHMS = ("ssrmin", "dijkstra")
-
-
-def build_algorithm(name: str, n: int, K: int):
-    """Instantiate the algorithm a witness names."""
-    if name == "ssrmin":
-        from repro.core.ssrmin import SSRmin
-
-        return SSRmin(n, K)
-    if name == "dijkstra":
-        from repro.algorithms.dijkstra import DijkstraKState
-
-        return DijkstraKState(n, K)
-    raise ValueError(f"unknown witness algorithm {name!r} "
-                     f"(known: {', '.join(ALGORITHMS)})")
 
 
 def _state_to_json(state: Any) -> Any:

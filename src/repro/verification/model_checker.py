@@ -26,7 +26,11 @@ reported cycle step from a configuration to the successor at a row
 position, so no walk maps successor keys back to ids.  What they report is
 what the full enumeration gives — full-space counts, deadlocks and closure
 violations expanded to whole orbits, a cycle lifted into a real cycle of
-configurations.
+configurations.  Those steps and the closure-violation pairs take a
+configuration's successors from
+:meth:`~repro.verification.transition_system.TransitionSystem.successor_keys_for`,
+one configuration at a time; the enumerated graph is built row by row
+with it too.
 """
 
 from __future__ import annotations

@@ -218,8 +218,8 @@ class QuotientGraph(StateGraph):
     """The Z_K quotient under the x-shift; ids are representative keys.
 
     Built in numpy array passes over ``CHUNK`` representatives at a time,
-    with the same rows :meth:`TransitionSystem._succ_keys_from_loaded
-    <repro.verification.transition_system.TransitionSystem._succ_keys_from_loaded>`
+    with the same rows :meth:`TransitionSystem.successor_keys_for
+    <repro.verification.transition_system.TransitionSystem.successor_keys_for>`
     gives key by key.  :meth:`FastKernel.key_moves
     <repro.simulation.fastpath.kernel.FastKernel.key_moves>` yields each
     row's legitimacy, enabled set and per-process key deltas.  Rows are
@@ -229,8 +229,8 @@ class QuotientGraph(StateGraph):
     digits at distinct positions, each smaller than ``key_base``, so two
     selections reach the same key exactly when they agree on their
     members with a non-zero delta: keeping the first selection of each
-    such support, in ``nonempty_subsets`` order, is the per-key
-    ``dict.fromkeys`` de-duplication.
+    such support, in ``nonempty_subsets`` order, keeps the first
+    occurrence of each key, as ``successor_keys_for`` does.
     """
 
     def __init__(self, ts: Any, kernel: Any) -> None:

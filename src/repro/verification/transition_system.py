@@ -2,35 +2,40 @@
 
 For small instances the configuration space ``|Q|^n`` is enumerable (e.g.
 SSRmin with ``n=4, K=5`` has ``(4*5)^4 = 160,000`` configurations).  A
-:class:`TransitionSystem` materializes successors on demand and memoizes
-them, supporting both daemon semantics:
+:class:`TransitionSystem` generates successors on demand under either
+daemon semantics:
 
 * ``"central"`` — successors via each single enabled process;
 * ``"distributed"`` — successors via every non-empty subset of enabled
-  processes (optionally capped at ``max_selection`` to bound fan-out; the cap
-  is reported so callers know when coverage is partial).
+  processes (optionally capped at ``max_selection`` to bound fan-out, in
+  which case only part of the daemon's choices are covered).
 
-Configurations are identified by their hashable normal forms.  With a
+Configurations are identified by hashable keys.  With a
 :mod:`~repro.simulation.fastpath` kernel available, keys are *packed ints*
 (collision-free base-``|Q|`` encodings — cheaper to hash and compare than
-tuples-of-tuples), and successor generation computes each enabled command
-**once** per configuration and reuses it across all daemon selections
-(the naive path re-evaluates guards for every subset).
+tuples-of-tuples) and each enabled command is computed **once** per
+configuration, every daemon selection's key following by integer
+arithmetic; the naive path, the oracle, keys a configuration by its
+normal-form state tuple and steps the algorithm once per selection.
 
-The per-configuration methods (:meth:`~TransitionSystem.successors`,
-:meth:`~TransitionSystem.successor_keys_for`,
-:meth:`~TransitionSystem.is_legitimate`, ...) memoise per key; the model
-checker instead reads :meth:`~TransitionSystem.graph`, the whole space as
-one array-backed :class:`~repro.verification.state_graph.StateGraph`, built
-on first use — the Z_K quotient under the x-shift on the packed-kernel
-path, so SSRmin n=5, K=6 (7.96M configurations) is 1.33M representatives.
+:meth:`~TransitionSystem.successor_keys_for` is the one successor
+generator, with one body per path.  The other per-configuration methods
+(:meth:`~TransitionSystem.successors`,
+:meth:`~TransitionSystem.is_legitimate`,
+:meth:`~TransitionSystem.reachable_from`, ...) derive from it and
+:meth:`~TransitionSystem.config_for_key`, and none of them memoises.  The
+model checker reads :meth:`~TransitionSystem.graph` instead, the whole
+space as one array-backed
+:class:`~repro.verification.state_graph.StateGraph`, built on first use —
+the Z_K quotient under the x-shift on the packed-kernel path, so SSRmin
+n=5, K=6 (7.96M configurations) is 1.33M representatives.
 """
 
 from __future__ import annotations
 
 import itertools
 from itertools import repeat
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.algorithms.base import RingAlgorithm
 from repro.simulation.fastpath import resolve_kernel
@@ -82,10 +87,6 @@ class TransitionSystem:
         self.daemon = daemon
         self.max_selection = 1 if daemon == "central" else max_selection
         self._kernel = resolve_kernel(algorithm, use_fastpath)
-        self._succ_cache: Dict[Any, Tuple[Any, ...]] = {}
-        self._succ_keys: Dict[Any, Tuple[Any, ...]] = {}
-        self._succ_cfgs: Dict[Any, Tuple[Any, ...]] = {}
-        self._legit_cache: Dict[Any, bool] = {}
         self._graph: Optional[StateGraph] = None
 
     # -- state enumeration ----------------------------------------------------
@@ -131,115 +132,50 @@ class TransitionSystem:
         return self._graph
 
     # -- successors -------------------------------------------------------------
-    def successors(self, config: Any) -> Tuple[Any, ...]:
-        """Distinct successor configurations under the chosen daemon."""
-        key = self._key(config)
-        cached = self._succ_cfgs.get(key)
-        if cached is None:
-            cached = tuple(c for _, c in self.successor_items(config, key))
-            self._succ_cfgs[key] = cached
-        return cached
-
-    def successor_items(
-        self, config: Any, key: Optional[Any] = None
-    ) -> Tuple[Tuple[Any, Any], ...]:
-        """Distinct successors as ``(key, configuration)`` pairs.
-
-        Handing keys out with the successors spares callers that index by
-        key (:meth:`reachable_from`, the naive state graph) re-packing a
-        configuration they already hold.  ``key`` may be passed when the
-        caller has already computed it.
-        """
-        if key is None:
-            key = self._key(config)
-        cached = self._succ_cache.get(key)
-        if cached is not None:
-            return cached
-        if self._kernel is not None:
-            out = self._successor_items_fast(config, key)
-        else:
-            out = self._successor_items_naive(config)
-        self._succ_cache[key] = out
-        self._succ_keys.setdefault(key, tuple(k for k, _ in out))
-        return out
-
-    def successor_keys(
-        self, config: Any, key: Optional[Any] = None
-    ) -> Tuple[Any, ...]:
-        """Distinct successor *keys* only — no configurations materialized.
-
-        Graph building, orbit expansion and witness walks never look
-        inside a successor, only at its identity and legitimacy, so on the
-        fast path this skips building the tuples-of-tuples configuration
-        objects entirely.  Configurations are recovered on demand via
-        :meth:`config_for_key`.
-        """
-        if key is None:
-            key = self._key(config)
-        cached = self._succ_keys.get(key)
-        if cached is not None:
-            return cached
-        if self._kernel is not None:
-            self._kernel.load(config)
-            self._seed_legitimacy(key)
-            out = self._succ_keys_from_loaded(key)
-        else:
-            out = tuple(k for k, _ in self.successor_items(config, key))
-        self._succ_keys[key] = out
-        return out
-
     def successor_keys_for(self, key: Any) -> Tuple[Any, ...]:
-        """:meth:`successor_keys` addressed purely by key.
+        """Distinct successor keys of the configuration ``key`` encodes.
 
-        On the fast path the kernel decodes the key directly into its
-        packed vectors (:meth:`~repro.simulation.fastpath.kernel.FastKernel.load_key`);
-        the naive path reconstructs the configuration first.
-        """
-        cached = self._succ_keys.get(key)
-        if cached is not None:
-            return cached
-        if self._kernel is not None:
-            self._kernel.load_key(key)
-            self._seed_legitimacy(key)
-            out = self._succ_keys_from_loaded(key)
-        else:
-            out = tuple(
-                k for k, _ in self.successor_items(self.config_for_key(key), key)
-            )
-        self._succ_keys[key] = out
-        return out
+        Selections come in :func:`nonempty_subsets` order of the enabled
+        set, and a key two selections reach (an enabled command that leaves
+        its state unchanged) is kept once, at its first occurrence.
 
-    def _seed_legitimacy(self, key: Any) -> None:
-        """Memoise the loaded configuration's legitimacy (counter-gated,
-        near O(1)) under ``key``."""
-        if key not in self._legit_cache:
-            self._legit_cache[key] = self._kernel.is_legitimate()
-
-    def _succ_keys_from_loaded(self, key: Any) -> Tuple[Any, ...]:
-        """Successor keys of the kernel's loaded configuration.
-
-        Each enabled command is evaluated once; every selection's key then
-        falls out of digit-delta integer arithmetic on ``key``
-        (``sum(subset, key)``): subsets of the per-process deltas come in
-        the same order as subsets of the enabled set, and a repeated key
-        (an enabled command that leaves its state unchanged) is kept once,
-        first occurrence first.  Nothing is memoised.  The state graph's
-        array passes (:class:`~repro.verification.state_graph.QuotientGraph`)
-        build these rows for every representative at once, entry for entry.
+        The packed path decodes the key into the kernel
+        (:meth:`~repro.simulation.fastpath.kernel.FastKernel.load_key`),
+        evaluates each enabled command once and adds each selection's
+        per-process digit deltas to ``key``;
+        :class:`~repro.verification.state_graph.QuotientGraph` builds these
+        rows for every representative at once, entry for entry.  The naive
+        path steps :meth:`config_for_key` through every selection.
         """
         kernel = self._kernel
-        enabled = kernel.enabled()
-        if not enabled:
-            return ()
+        if kernel is None:
+            alg = self.algorithm
+            config = self.config_for_key(key)
+            selections = nonempty_subsets(
+                alg.enabled_processes(config), self.max_selection)
+            return tuple(dict.fromkeys(
+                self._key(alg.step(config, sel)) for sel in selections))
+        kernel.load_key(key)
         digit = kernel.digit
         weights = kernel.key_weights
         deltas = tuple(
             (digit(kernel.update(i)) - digit(kernel.native_state(i)))
             * weights[i]
-            for i in enabled
+            for i in kernel.enabled()
         )
         return tuple(dict.fromkeys(map(
             sum, nonempty_subsets(deltas, self.max_selection), repeat(key))))
+
+    def successor_keys(self, config: Any) -> Tuple[Any, ...]:
+        """:meth:`successor_keys_for` of a configuration.
+
+        Configurations are recovered on demand via :meth:`config_for_key`.
+        """
+        return self.successor_keys_for(self._key(config))
+
+    def successors(self, config: Any) -> Tuple[Any, ...]:
+        """Distinct successor configurations under the chosen daemon."""
+        return tuple(map(self.config_for_key, self.successor_keys(config)))
 
     def config_for_key(self, key: Any) -> Any:
         """The algorithm-native configuration a key encodes.
@@ -253,62 +189,6 @@ class TransitionSystem:
             return self._kernel.unpack_key(key)
         return self.algorithm.normalize_configuration(key)
 
-    def _successor_items_naive(
-        self, config: Any
-    ) -> Tuple[Tuple[Any, Any], ...]:
-        enabled = self.algorithm.enabled_processes(config)
-        succs: List[Tuple[Any, Any]] = []
-        seen = set()
-        for sel in nonempty_subsets(enabled, self.max_selection):
-            nxt = self.algorithm.step(config, sel)
-            k = self._key(nxt)
-            if k not in seen:
-                seen.add(k)
-                succs.append((k, nxt))
-        return tuple(succs)
-
-    def _successor_items_fast(
-        self, config: Any, key: Any
-    ) -> Tuple[Tuple[Any, Any], ...]:
-        """Kernel-backed successor generation.
-
-        Loads ``config`` once, computes every enabled process's command
-        once, then derives each selection's successor *key* by integer
-        digit-delta arithmetic on the loaded key — no guard re-evaluation
-        and no re-packing per subset; configurations are only materialized
-        for keys not seen before.  The load also yields the configuration's
-        own legitimacy (counter-gated, near O(1)), which seeds the
-        :meth:`is_legitimate` memo for free.
-        """
-        kernel = self._kernel
-        kernel.load(config)
-        self._seed_legitimacy(key)
-        enabled = kernel.enabled()
-        if not enabled:
-            return ()
-        base = kernel.native_states(config)
-        digit = kernel.digit
-        weights = kernel.key_weights
-        updates = {}
-        delta = {}
-        for i in enabled:
-            updates[i] = up = kernel.update(i)
-            delta[i] = (digit(up) - digit(base[i])) * weights[i]
-        wrap = kernel.wrap_states
-        succs: List[Tuple[Any, Any]] = []
-        seen = set()
-        for sel in nonempty_subsets(enabled, self.max_selection):
-            k = key
-            for i in sel:
-                k += delta[i]
-            if k not in seen:
-                seen.add(k)
-                states = list(base)
-                for i in sel:
-                    states[i] = updates[i]
-                succs.append((k, wrap(tuple(states))))
-        return tuple(succs)
-
     def is_deadlocked(self, config: Any) -> bool:
         """True iff no process is enabled."""
         if self._kernel is not None:
@@ -316,38 +196,22 @@ class TransitionSystem:
             return not self._kernel.enabled()
         return not self.algorithm.enabled_processes(config)
 
-    def is_legitimate(self, config: Any, key: Optional[Any] = None) -> bool:
-        """Memoized legitimacy test keyed like :meth:`successors`.
-
-        The model checker asks this for the same configuration along many
-        paths; memoization turns the repeated O(n) predicate into one dict
-        probe per revisit.  ``key`` may be passed when already known.
-        """
-        if key is None:
-            key = self._key(config)
-        cached = self._legit_cache.get(key)
-        if cached is None:
-            cached = self.algorithm.is_legitimate(config)
-            self._legit_cache[key] = cached
-        return cached
+    def is_legitimate(self, config: Any) -> bool:
+        """:meth:`is_legitimate_key` of a configuration."""
+        return self.is_legitimate_key(self._key(config))
 
     def is_legitimate_key(self, key: Any) -> bool:
-        """:meth:`is_legitimate` addressed purely by key.
+        """Legitimacy of the configuration ``key`` encodes.
 
-        Usually a dict hit — successor generation seeds the memo for every
-        configuration it loads.  On a miss the fast path decodes the key
-        into the kernel (no configuration object); the naive path rebuilds
-        the configuration.
+        The fast path decodes the key into the kernel (no configuration
+        object) and reads its counter-gated predicate; the naive path asks
+        the algorithm about :meth:`config_for_key`.
         """
-        cached = self._legit_cache.get(key)
-        if cached is None:
-            if self._kernel is not None:
-                self._kernel.load_key(key)
-                cached = self._kernel.is_legitimate()
-            else:
-                cached = self.algorithm.is_legitimate(self.config_for_key(key))
-            self._legit_cache[key] = cached
-        return cached
+        kernel = self._kernel
+        if kernel is None:
+            return self.algorithm.is_legitimate(self.config_for_key(key))
+        kernel.load_key(key)
+        return kernel.is_legitimate()
 
     def _key(self, config: Any) -> Any:
         """Hashable identity of ``config`` (packed int on the fast path)."""
@@ -359,14 +223,14 @@ class TransitionSystem:
     # -- reachability -----------------------------------------------------------
     def reachable_from(self, initial: Iterable[Any]) -> Dict[Any, Any]:
         """BFS closure: map ``key -> configuration`` reachable from ``initial``."""
-        frontier = list(initial)
-        seen: Dict[Any, Any] = {self._key(c): c for c in frontier}
+        seen: Dict[Any, Any] = {self._key(c): c for c in initial}
+        frontier = list(seen)
         while frontier:
-            nxt_frontier = []
-            for c in frontier:
-                for k, s in self.successor_items(c):
+            fresh = []
+            for key in frontier:
+                for k in self.successor_keys_for(key):
                     if k not in seen:
-                        seen[k] = s
-                        nxt_frontier.append(s)
-            frontier = nxt_frontier
+                        seen[k] = self.config_for_key(k)
+                        fresh.append(k)
+            frontier = fresh
         return seen

@@ -8,8 +8,8 @@ algebra on arbitrary inputs:
   kernels (the key is a faithful radix encoding of the configuration);
 * digit-delta successor arithmetic — incrementally adjusting a key by
   ``(digit(new) - digit(old)) * weight[i]`` equals re-packing the stepped
-  configuration (the identity behind
-  ``TransitionSystem._succ_keys_from_loaded``);
+  configuration (the identity behind the packed path of
+  ``TransitionSystem.successor_keys_for``);
 * fast successor keys equal naive successor keys on the same instance.
 """
 

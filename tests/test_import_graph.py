@@ -150,6 +150,29 @@ def test_cli_help_imports_no_asyncio_or_numpy():
     assert "live" in proc.stdout
 
 
+def test_algorithm_table_imports_only_the_class_asked_for():
+    proc = _fresh("""
+        import sys
+        from repro.algorithms import build_algorithm
+        assert build_algorithm("dijkstra", 4).K == 5
+        assert "repro.core.ssrmin" not in sys.modules
+        assert build_algorithm("ssrmin", 4, 6).K == 6
+        assert "numpy" not in sys.modules
+        assert "asyncio" not in sys.modules
+        try:
+            build_algorithm("nope", 4)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("an unknown name was built")
+        import repro.runtime
+        import repro.verification.conformance
+        assert repro.runtime.build_algorithm is build_algorithm
+        assert repro.verification.conformance.build_algorithm is build_algorithm
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("module", [
     "repro.algorithms.base",
     "repro.core.rules",

@@ -155,15 +155,14 @@ def _mutate_rule_table(monkeypatch, index, rule):
 
 
 def _rows_key_by_key(ts, size):
-    """``(legit, offsets, targets)`` from the scalar kernel, one
-    representative at a time."""
+    """``(legit, offsets, targets)`` from the transition system's scalar
+    methods, one representative at a time."""
     kernel = ts._kernel
     legit, offsets, targets = bytearray(), array("q", [0]), array("i")
     for r in range(size):
-        kernel.load_key(r)
-        legit.append(kernel.is_legitimate())
+        legit.append(ts.is_legitimate_key(r))
         targets.extend(k if k < size else kernel.canonical_key(k)
-                       for k in ts._succ_keys_from_loaded(r))
+                       for k in ts.successor_keys_for(r))
         offsets.append(len(targets))
     return legit, offsets, targets
 
