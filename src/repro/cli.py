@@ -395,7 +395,10 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.observability import RunStore, TopRingSpec, top_curses, top_plain
+    from repro.observability import (
+        RunStore, ingest_fleet_report, top_curses, top_plain,
+    )
+    from repro.runtime import FleetSupervisor, RingSpec
 
     algorithms = (
         ["ssrmin", "dijkstra"] if args.algorithm == "both"
@@ -404,34 +407,37 @@ def _cmd_top(args: argparse.Namespace) -> int:
     specs = []
     for i in range(args.rings):
         alg = algorithms[i % len(algorithms)]
-        specs.append(TopRingSpec(
+        specs.append(RingSpec(
             name=f"{alg}-{i}",
             algorithm=alg,
             n=args.n,
             K=args.K,
             seed=args.seed + i,
-            transport=args.transport,
+            wire="json",
             timer_interval=args.timer_interval,
             script=args.script,
         ))
 
     store = None if args.no_store else RunStore(args.store)
     try:
+        fleet = FleetSupervisor(
+            specs,
+            transport="loopback" if args.transport == "loopback"
+            else "mux-udp",
+            store=store,
+        )
         frontend = top_plain if args.plain or not sys.stdout.isatty() \
             else top_curses
-        reports = frontend(
-            specs, duration=args.duration, refresh=args.refresh, store=store,
-        )
+        report = frontend(fleet, duration=args.duration, refresh=args.refresh)
+        if store is not None:
+            ingest_fleet_report(store, fleet.run_id, report)
     finally:
         if store is not None:
             store.close()
-    failures = sum(
-        0 if report.get("health", {}).get("ok") else 1 for report in reports
-    )
     if store is not None:
         print(f"run store: {args.store} "
-              f"({len(reports)} top-* runs recorded)")
-    return 1 if failures else 0
+              f"(run {fleet.run_id}, {args.rings} ring rows)")
+    return 0 if fleet.ok else 1
 
 
 def _open_store(args: argparse.Namespace, missing_ok: bool = False):
@@ -722,7 +728,7 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from repro.verification.conformance import run_campaign
+    from repro.verification.conformance import run_fuzz_campaign
 
     kwargs = dict(
         seed=args.seed,
@@ -741,7 +747,7 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
         kwargs["time_budget"] = 30.0
 
     if args.no_telemetry:
-        result = run_campaign(**kwargs)
+        result = run_fuzz_campaign(**kwargs)
     else:
         from repro.observability import RunStore, ingest_manifest
         from repro.telemetry import build_manifest, telemetry_session
@@ -750,7 +756,7 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
         trace_path = os.path.join(args.telemetry_dir, run_id, "trace.jsonl")
         os.makedirs(os.path.dirname(trace_path), exist_ok=True)
         with telemetry_session(trace_path=trace_path) as tel:
-            result = run_campaign(**kwargs)
+            result = run_fuzz_campaign(**kwargs)
         manifest = build_manifest(
             tel,
             experiment_id=run_id,
@@ -900,7 +906,6 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
             run_store=args.store,
             resume=args.resume,
             fresh=args.fresh,
-            mode=args.mode,
             workers=args.workers,
             throttle=args.throttle,
         )
@@ -932,7 +937,6 @@ def _cmd_sweep_resume(args: argparse.Namespace) -> int:
             args.name,
             base_dir=args.dir,
             run_store=args.store,
-            mode=args.mode,
             workers=args.workers,
             throttle=args.throttle,
         )
@@ -1129,11 +1133,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     def _sweep_exec_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dir", default="runs", metavar="DIR",
                        help="checkpoint root (default: %(default)s)")
-        p.add_argument("--mode", choices=["auto", "batched", "per-cell"],
-                       default="auto",
-                       help="cell execution backend (default: %(default)s)")
         p.add_argument("--workers", type=int, default=1,
-                       help="per-cell worker processes (default 1)")
+                       help="worker processes for DES cells (default 1)")
         p.add_argument("--throttle", type=float, default=0.0,
                        metavar="SECONDS",
                        help="pause after each cell (pacing knob for "

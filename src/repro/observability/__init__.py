@@ -28,8 +28,7 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.observability.dashboard": (
-        "RingRow", "TopRingSpec", "render_rows", "run_top_fleet", "top_curses",
-        "top_plain",
+        "RingRow", "render_rows", "run_top_fleet", "top_curses", "top_plain",
     ),
     "repro.observability.incidents": ("IncidentTracker", "render_incidents"),
     "repro.observability.ingest": (

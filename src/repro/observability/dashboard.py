@@ -1,16 +1,16 @@
 """The live control surface: ``repro top`` and the shared row renderer.
 
-``repro top`` boots a small fleet of live rings in-process (one
-:class:`~repro.runtime.supervisor.RingSupervisor` each, optionally with a
-chaos script playing against every ring) and redraws a terminal dashboard
-every refresh interval: per-ring token position, own-view census,
-legitimacy + cache coherence, the current epoch with its restabilization
-clock, vacancy / violation counters and message rates — the quantities the
-paper proves bounds for, live.  Each ring's runtime events stream into the
-run store through a :class:`~repro.observability.ingest.StoreSubscriber`
-on the supervisor's own bus, so a ``repro top`` session leaves queryable
-runs behind when it exits (``top-<ring>-seed<seed>``, so sessions with
-other seeds keep their own rows).
+``repro top`` runs a small fleet of live rings in-process (one
+:class:`~repro.runtime.fleet.FleetSupervisor`, optionally with a chaos
+script playing against every ring) and redraws a terminal dashboard every
+refresh interval: per-ring token position, own-view census, legitimacy +
+cache coherence, the current epoch with its restabilization clock,
+vacancy / violation counters and message rates — the quantities the paper
+proves bounds for, live.  The session is recorded the way ``repro fleet
+run`` records a fleet: each ring's runtime events stream into the run
+store as ``<fleet id>/<ring>`` (see :func:`~repro.runtime.fleet.fleet_id`,
+so sessions with other seeds keep their own rows), and the CLI adds one
+``fleet`` row holding the aggregate report.
 
 The same :func:`render_rows` renderer backs ``repro live status --watch``
 and ``repro fleet status`` (rows built from the run store instead of live
@@ -29,8 +29,7 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.observability.ingest import StoreSubscriber, recorded_ok
-from repro.observability.store import RunStore
+from repro.observability.ingest import recorded_ok
 
 #: Column layout shared by ``repro top`` and ``live status --watch``.
 _COLUMNS = (
@@ -174,100 +173,51 @@ def render_rows(rows: Sequence[RingRow]) -> List[str]:
 # -- the live fleet loop ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TopRingSpec:
-    """One ring of a ``repro top`` fleet."""
-
-    name: str
-    algorithm: str = "ssrmin"
-    n: int = 5
-    K: Optional[int] = None
-    seed: int = 0
-    transport: str = "loopback"
-    timer_interval: float = 0.1
-    initial: str = "legitimate"
-    script: Optional[str] = None
-
-
 async def run_top_fleet(
-    specs: Sequence[TopRingSpec],
+    fleet: Any,
     duration: float,
     refresh: float,
     on_frame: Callable[[List[str]], Optional[bool]],
-    store: Optional[RunStore] = None,
-) -> List[dict]:
-    """Boot the fleet, stream frames, drain; returns the run reports.
+) -> dict:
+    """Run ``fleet`` while streaming frames, drain; returns its report.
 
-    ``on_frame`` receives the rendered lines each tick; returning ``True``
-    stops the loop early (the curses frontend maps ``q`` to this).
+    ``fleet`` is a :class:`~repro.runtime.fleet.FleetSupervisor`; its
+    :meth:`~repro.runtime.fleet.FleetSupervisor.run` stabilizes the rings
+    and plays their scripts as ``repro fleet run`` does, while the loop
+    here draws ``fleet.status_rows()`` every ``refresh`` seconds until
+    ``duration`` elapses (``0``: until stopped).  ``on_frame`` receives
+    the rendered lines each tick; returning ``True`` stops the loop early
+    (the curses frontend maps ``q`` to this).
     """
-    from repro.runtime.chaos import build_script
-    from repro.runtime.harness import build_algorithm
-    from repro.runtime.supervisor import RingSupervisor
-
-    supervisors: List[RingSupervisor] = []
-    subscribers: List[StoreSubscriber] = []
-    for spec in specs:
-        supervisor = RingSupervisor(
-            build_algorithm(spec.algorithm, spec.n, spec.K),
-            transport=spec.transport,
-            chaos=spec.script is not None,
-            initial=spec.initial,
-            seed=spec.seed,
-            timer_interval=spec.timer_interval,
-        )
-        if store is not None:
-            subscriber = StoreSubscriber(
-                store, run_id=f"top-{spec.name}-seed{spec.seed}",
-                source="top",
-            )
-            supervisor.bus.subscribe(subscriber)
-            subscribers.append(subscriber)
-        supervisors.append(supervisor)
-
-    chaos_tasks: List[asyncio.Task] = []
+    run = None
     try:
-        for spec, supervisor in zip(specs, supervisors):
-            await supervisor.boot()
-            if spec.script is not None:
-                chaos_tasks.append(asyncio.ensure_future(
-                    supervisor.run_chaos(build_script(spec.script, spec.n))
-                ))
+        await fleet.boot()
+        run = asyncio.ensure_future(fleet.run(duration))
         loop = asyncio.get_running_loop()
         deadline = loop.time() + duration if duration > 0 else None
         while True:
-            rows = [
-                RingRow.from_supervisor(spec.name, supervisor)
-                for spec, supervisor in zip(specs, supervisors)
-            ]
-            if on_frame(render_rows(rows)):
+            if on_frame(render_rows(fleet.status_rows())):
                 break
             if deadline is not None and loop.time() >= deadline:
                 break
             await asyncio.sleep(refresh)
     finally:
-        for task in chaos_tasks:
-            task.cancel()
-        for task in chaos_tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-        for supervisor in supervisors:
-            await supervisor.shutdown()
-        for subscriber in subscribers:
-            subscriber.close()
-    return [supervisor.report() for supervisor in supervisors]
+        if run is not None:
+            run.cancel()
+            await asyncio.gather(run, return_exceptions=True)
+        await fleet.shutdown()
+    if not run.cancelled():
+        run.result()  # raises what failed the run before the session ended
+    return fleet.report()
 
 
 def top_plain(
-    specs: Sequence[TopRingSpec],
+    fleet: Any,
     duration: float,
     refresh: float,
-    store: Optional[RunStore] = None,
     out: Optional[Callable[[str], None]] = None,
     ansi: bool = False,
-) -> List[dict]:
+) -> dict:
     """Frame-per-tick text frontend (pipes, CI, tests)."""
     emit = out if out is not None else print
     frames = [0]
@@ -282,21 +232,16 @@ def top_plain(
         emit("")
         return False
 
-    return asyncio.run(
-        run_top_fleet(specs, duration, refresh, on_frame, store=store)
-    )
+    return asyncio.run(run_top_fleet(fleet, duration, refresh, on_frame))
 
 
 def top_curses(
-    specs: Sequence[TopRingSpec],
-    duration: float,
-    refresh: float,
-    store: Optional[RunStore] = None,
-) -> List[dict]:  # pragma: no cover - interactive terminal path
+    fleet: Any, duration: float, refresh: float,
+) -> dict:  # pragma: no cover - interactive terminal path
     """Curses frontend: full-screen redraws, ``q`` quits."""
     import curses
 
-    def main(screen) -> List[dict]:
+    def main(screen) -> dict:
         curses.curs_set(0)
         screen.nodelay(True)
 
@@ -318,16 +263,13 @@ def top_curses(
             except curses.error:
                 return False
 
-        return asyncio.run(
-            run_top_fleet(specs, duration, refresh, on_frame, store=store)
-        )
+        return asyncio.run(run_top_fleet(fleet, duration, refresh, on_frame))
 
     return curses.wrapper(main)
 
 
 __all__ = [
     "RingRow",
-    "TopRingSpec",
     "render_rows",
     "run_top_fleet",
     "top_curses",

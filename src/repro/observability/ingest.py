@@ -305,9 +305,10 @@ def ingest_live_report(
     One ``runs`` row (identity and health columns from the report, the
     verdict in ``extra``), one ``epochs`` row per health epoch, and one
     ``disturbances`` row per op of a played chaos ``script`` block.
-    ``columns`` override or add row columns (a chaos cell's campaign tag,
-    its own ``extra``).  Sharded fleets and chaos-lab cells, whose rings
-    ran where no subscriber could stream them, are written here.
+    ``columns`` override or add row columns (a chaos cell's campaign
+    tag); an ``extra`` among them is merged over the verdict's keys, so
+    the census band stays.  Sharded fleets and chaos-lab cells, whose
+    rings ran where no subscriber could stream them, are written here.
     """
     health = report.get("health") or {}
     row: Dict[str, Any] = dict(
@@ -323,7 +324,7 @@ def ingest_live_report(
         violations=len(health.get("guarantee_violations") or ()),
         restarts=report.get("restarts"),
         source=source,
-        extra=_verdict(health),
+        extra={**_verdict(health), **columns.pop("extra", {})},
     )
     row.update(columns)
     run_db_id = store.insert_run(run_id, kind=kind, **row)

@@ -3,9 +3,9 @@
 Where :mod:`repro.messagepassing` *simulates* the transformed system on a
 deterministic event queue, this package *runs* it: real
 :class:`~repro.messagepassing.node.CSTNode` step logic inside asyncio
-tasks, talking over pluggable transports (in-process loopback, UDP on
-localhost, a fleet mux sharing sockets between rings), optionally through
-a chaos layer that injects loss, delay, duplication, reorder and
+tasks, talking over pluggable transports (in-process loopback, or UDP on
+localhost through a mux that serves one ring or a whole fleet), optionally
+through a chaos layer that injects loss, delay, duplication, reorder and
 partitions; a supervisor boots, watches, restarts and drains the nodes;
 and an online health monitor applies the conformance predicates
 (legitimacy + cache coherence + token-census bounds) so a live ring can
@@ -46,7 +46,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.runtime.supervisor": ("RingSupervisor",),
     "repro.runtime.transport": (
         "ChaosTransport", "LoopbackTransport", "MuxUdpTransport", "RingView",
-        "Transport", "UdpTransport",
+        "Transport",
     ),
     "repro.runtime.wire": (
         "Wire", "WireError", "decode_message", "encode_message", "make_wire",

@@ -18,12 +18,13 @@ run-store subscriber — the fleet layer only owns transport multiplexing,
 lifecycle, optional load generation and the aggregate report.
 
 A fleet is recorded under :func:`fleet_id`: its ring rows are named
-``<fleet id>/<ring>``, and ``repro fleet run`` adds one ``fleet`` row
-holding the aggregate report.
+``<fleet id>/<ring>``, and ``repro fleet run`` (like ``repro top``) adds
+one ``fleet`` row holding the aggregate report.
 
 Entry points: :func:`run_fleet` (one process), :func:`run_fleet_sharded`
-(ring partitions across a ``ProcessPoolExecutor``), and ``repro fleet
-run|status`` on the CLI.
+(ring partitions across a ``ProcessPoolExecutor``), ``repro fleet
+run|status`` on the CLI, and ``repro top``, which draws a dashboard over
+one :class:`FleetSupervisor` while it runs.
 """
 
 from __future__ import annotations
@@ -161,6 +162,8 @@ class FleetSupervisor:
         self.loadgens: Dict[str, LoadGenerator] = {}
         self.load_reports: Dict[str, dict] = {}
         self._subscribers: List[Any] = []
+        #: Chaos-script and load tasks started by :meth:`run`.
+        self._tasks: List[asyncio.Task] = []
         self._booted = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -215,21 +218,20 @@ class FleetSupervisor:
             self._await_stabilized(sup, stabilize_timeout)
             for sup in self.supervisors.values()
         ))
-        tasks: List[asyncio.Task] = []
         for spec in self.specs:
             sup = self.supervisors[spec.name]
             if spec.script is not None:
-                tasks.append(asyncio.ensure_future(
+                self._tasks.append(asyncio.ensure_future(
                     sup.run_chaos(build_script(spec.script, spec.n))
                 ))
             gen = self.loadgens.get(spec.name)
             if gen is not None:
-                tasks.append(asyncio.ensure_future(
+                self._tasks.append(asyncio.ensure_future(
                     self._run_load(spec.name, gen, duration)
                 ))
         if duration > 0:
             await asyncio.sleep(duration)
-        for task in tasks:
+        for task in self._tasks:
             if not task.done():
                 await task
 
@@ -249,7 +251,11 @@ class FleetSupervisor:
         self.load_reports[name] = report.to_json()
 
     async def shutdown(self) -> None:
-        """Drain every ring; the mux closes with its last view."""
+        """Cancel unfinished scripts and load (a :meth:`run` cut short),
+        then drain every ring; the mux closes with its last view."""
+        for task in self._tasks:
+            task.cancel()
+        await asyncio.gather(*self._tasks, return_exceptions=True)
         for supervisor in self.supervisors.values():
             await supervisor.shutdown()
         for subscriber in self._subscribers:

@@ -2,7 +2,8 @@
 
 The supervisor owns everything one deployment needs:
 
-* the **transport** (loopback or UDP, optionally chaos-wrapped);
+* the **transport** (loopback, or UDP through a one-ring mux view,
+  optionally chaos-wrapped);
 * one :class:`~repro.runtime.server.RingNodeServer` per process;
 * the **liveness watchdog** — a task that scans every server each
   ``watchdog_interval`` seconds and restarts any node whose heartbeat
@@ -40,8 +41,8 @@ from repro.runtime.server import RingNodeServer
 from repro.runtime.transport import (
     ChaosTransport,
     LoopbackTransport,
+    MuxUdpTransport,
     Transport,
-    UdpTransport,
 )
 from repro.runtime.wire import Wire, make_wire
 from repro.telemetry.events import EventBus
@@ -49,14 +50,15 @@ from repro.telemetry.session import current_session
 
 
 def _build_transport(spec: Union[str, Transport], n: int) -> Transport:
+    """``loopback``, or a UDP ring: a one-ring mux whose ``n`` sockets
+    give every node its own (``udp-batch`` coalesces per socket)."""
     if isinstance(spec, Transport):
         return spec
     if spec == "loopback":
         return LoopbackTransport()
-    if spec == "udp":
-        return UdpTransport(range(n))
-    if spec == "udp-batch":
-        return UdpTransport(range(n), batch=True)
+    if spec in ("udp", "udp-batch"):
+        mux = MuxUdpTransport(sockets=n, batch=spec == "udp-batch")
+        return mux.view(0, n)
     raise ValueError(f"unknown transport {spec!r} (loopback, udp, udp-batch)")
 
 

@@ -1,22 +1,22 @@
 """Pluggable datagram transports for the live asyncio ring.
 
-Four implementations share one tiny contract (:class:`Transport`):
+Three implementations share one tiny contract (:class:`Transport`):
 
 * :class:`LoopbackTransport` — in-process delivery through the event loop.
   Every message still round-trips the wire format, so loopback runs
   exercise the exact serialization path UDP uses, just without sockets.
-* :class:`UdpTransport` — one UDP datagram socket per node on localhost.
-  Ports are OS-assigned (bind to port 0) and collected into a routing
-  table, so parallel test runs never collide.  With ``batch=True`` frames
-  posted in the same event-loop tick toward the same destination coalesce
-  into one datagram (:func:`~repro.runtime.wire.pack_batch`), amortizing
-  syscalls under load.
-* :class:`MuxUdpTransport` — the fleet transport: N rings multiplexed over
-  a small pool of shared sockets.  Frames carry a ``ring_id`` in their
-  header; the mux demultiplexes incoming datagrams to per-ring
-  :class:`RingView` facades, each of which is a full :class:`Transport`
-  a :class:`~repro.runtime.supervisor.RingSupervisor` can own.
-* :class:`ChaosTransport` — a decorator over any of the above that
+* :class:`MuxUdpTransport` — the one UDP transport: N rings multiplexed
+  over a pool of localhost sockets (OS-assigned ports, so parallel test
+  runs never collide).  Frames carry a ``ring_id`` in their header; the
+  mux demultiplexes incoming datagrams to per-ring :class:`RingView`
+  facades, each of which is a full :class:`Transport` a
+  :class:`~repro.runtime.supervisor.RingSupervisor` can own.  A single
+  UDP ring is a one-ring mux with one socket per node.  With
+  ``batch=True`` frames posted in the same event-loop tick toward the
+  same socket coalesce into one datagram
+  (:func:`~repro.runtime.wire.pack_batch`), amortizing syscalls under
+  load.
+* :class:`ChaosTransport` — a decorator over either of the above that
   injects loss, extra delay, duplication, reorder and partitions from a
   seeded RNG; the knobs are mutable so a
   :class:`~repro.runtime.chaos.ChaosScript` can open and close fault
@@ -169,122 +169,7 @@ class LoopbackTransport(Transport):
         self._closed = True
 
 
-class _NodeDatagramProtocol(asyncio.DatagramProtocol):
-    """Receives datagrams for one node index and hands them to the owner."""
-
-    def __init__(self, owner: "UdpTransport", index: int):
-        self.owner = owner
-        self.index = index
-
-    def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:
-        self.owner._handoff(self.index, data)
-
-    def error_received(self, exc: Exception) -> None:  # pragma: no cover
-        # ICMP errors (port unreachable during a restart window) are
-        # indistinguishable from loss for a self-stabilizing ring.
-        pass
-
-
-class UdpTransport(Transport):
-    """One UDP socket per node on ``127.0.0.1``; OS-assigned ports.
-
-    ``bind(i)`` must run (via :meth:`start`) before any ``post`` toward
-    ``i`` can route; the supervisor binds every index it boots.
-
-    With ``batch=True``, frames posted within one event-loop tick toward
-    the same destination are coalesced into a single datagram — one
-    ``sendto`` syscall instead of one per message.  Latency cost is one
-    ``call_soon`` hop (microseconds), throughput gain is large once many
-    nodes share a tick.
-    """
-
-    def __init__(
-        self,
-        indices: Iterable[int],
-        host: str = "127.0.0.1",
-        batch: bool = False,
-        wire: Optional[Wire] = None,
-    ):
-        super().__init__(wire)
-        self.host = host
-        self.indices = tuple(indices)
-        self.batch = batch
-        self._endpoints: Dict[int, asyncio.DatagramTransport] = {}
-        #: ``index -> (host, port)`` routing table, filled at bind time.
-        self.routes: Dict[int, Tuple[str, int]] = {}
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._pending: Dict[Tuple[int, int], List[bytes]] = {}
-        self._flush_scheduled = False
-        self.datagrams_out = 0
-        self._closed = False
-
-    async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        for i in self.indices:
-            if i in self._endpoints:
-                continue
-            transport, _ = await loop.create_datagram_endpoint(
-                lambda i=i: _NodeDatagramProtocol(self, i),
-                local_addr=(self.host, 0),
-            )
-            self._endpoints[i] = transport
-            sockname = transport.get_extra_info("sockname")
-            self.routes[i] = (self.host, sockname[1])
-
-    def post(self, src: int, dst: int, state: Any) -> None:
-        if self._closed:
-            return
-        endpoint = self._endpoints.get(src)
-        route = self.routes.get(dst)
-        if endpoint is None or route is None:
-            self.dropped += 1
-            return
-        self.sent += 1
-        data = self.wire_for(src).encode(src, dst, state)
-        if not self.batch:
-            self.datagrams_out += 1
-            endpoint.sendto(data, route)
-            return
-        self._pending.setdefault((src, dst), []).append(data)
-        if not self._flush_scheduled and self._loop is not None:
-            self._flush_scheduled = True
-            self._loop.call_soon(self._flush)
-
-    def _flush(self) -> None:
-        self._flush_scheduled = False
-        pending, self._pending = self._pending, {}
-        if self._closed:
-            return
-        for (src, dst), frames in pending.items():
-            endpoint = self._endpoints.get(src)
-            route = self.routes.get(dst)
-            if endpoint is None or route is None:
-                self.dropped += len(frames)
-                continue
-            for i in range(0, len(frames), MAX_BATCH_FRAMES):
-                self.datagrams_out += 1
-                endpoint.sendto(
-                    pack_batch(frames[i:i + MAX_BATCH_FRAMES]), route
-                )
-
-    async def close(self) -> None:
-        self._closed = True
-        self._pending.clear()
-        for transport in self._endpoints.values():
-            transport.close()
-        self._endpoints.clear()
-        # Give the loop one tick to run the transports' close callbacks.
-        await asyncio.sleep(0)
-
-    def stats(self) -> Dict[str, int]:
-        out = super().stats()
-        out["datagrams_out"] = self.datagrams_out
-        out["batched"] = int(self.batch)
-        return out
-
-
-# -- fleet multiplexing -------------------------------------------------------
+# -- UDP: rings multiplexed over a socket pool --------------------------------
 
 class _MuxDatagramProtocol(asyncio.DatagramProtocol):
     """One shared fleet socket; everything routes through the owner."""
@@ -296,6 +181,8 @@ class _MuxDatagramProtocol(asyncio.DatagramProtocol):
         self.owner._ingress(data)
 
     def error_received(self, exc: Exception) -> None:  # pragma: no cover
+        # ICMP errors are indistinguishable from loss for a
+        # self-stabilizing ring.
         pass
 
 
@@ -338,12 +225,14 @@ class RingView(Transport):
 class MuxUdpTransport:
     """N rings multiplexed over a shared pool of UDP sockets.
 
-    Where :class:`UdpTransport` binds one socket per node, the mux binds
-    ``sockets`` sockets *total* and addresses ``(ring_id, node)`` pairs to
-    a deterministic home socket.  Incoming datagrams are demultiplexed by
-    the ``ring_id`` stamped in every frame header (binary: one struct
-    read; JSON: the ``"r"`` key) and handed to the owning
-    :class:`RingView`, whose wire performs the real decode.
+    The mux binds ``sockets`` sockets *total* and addresses ``(ring_id,
+    node)`` pairs to the home socket ``(ring_id + node) % sockets``, so a
+    one-ring mux with ``sockets=n`` gives every node its own socket (the
+    ``udp`` and ``udp-batch`` transports of
+    :class:`~repro.runtime.supervisor.RingSupervisor`).  Incoming
+    datagrams are demultiplexed by the ``ring_id`` stamped in every frame
+    header (binary: one struct read; JSON: the ``"r"`` key) and handed to
+    the owning :class:`RingView`, whose wire performs the real decode.
 
     Batching is on by default: all frames leaving in one event-loop tick
     toward the same destination socket coalesce into one datagram —

@@ -6,9 +6,10 @@ grid, Theorem 4's loss sweep included, runs through its engine:
 * :mod:`repro.sweeps.spec` — typed grid specifications
   (n × loss × delay × duplication × daemon-family) with deterministic
   cell identity;
-* :mod:`repro.sweeps.engine` — batched-cell execution (homogeneous cell
-  groups vectorized through :mod:`repro.kernels.batched`) and per-cell
-  fallback, with per-cell-seed determinism making the two bit-identical;
+* :mod:`repro.sweeps.engine` — one execution per cell kind: convergence
+  cells batched (homogeneous cell groups vectorized through
+  :mod:`repro.kernels.batched`, per-cell-seed determinism making each
+  cell equal to its run alone), DES cells one task per cell;
   :func:`run_sweep` checkpoints each cell, :func:`run_cells` returns them;
 * :mod:`repro.sweeps.store` — resumable checkpoints: JSONL write-ahead
   cells plus the RunStore's v3 ``sweeps``/``sweep_cells`` manifest index;

@@ -1,4 +1,4 @@
-"""The sweep scheduler: batched-cell and per-cell execution with resume.
+"""The sweep scheduler: one execution per cell kind, with resume.
 
 :func:`run_sweep` drives one :class:`~repro.sweeps.spec.SweepSpec` to
 completion:
@@ -6,9 +6,9 @@ completion:
 1. open the :class:`~repro.sweeps.store.SweepStore` (create / resume /
    fresh), reconcile already-checkpointed cells, and enumerate the
    *missing* ones;
-2. execute the missing cells —
+2. execute the missing cells, each kind one way —
 
-   * **batched-cell mode**: convergence cells partition into homogeneous
+   * **convergence cells run batched**: they partition into homogeneous
      groups (same ``n`` and daemon; only seeds differ) and each group
      advances in lockstep through the vectorized kernel backend
      (:func:`repro.kernels.batched.run_convergence_cells`), amortizing
@@ -18,9 +18,9 @@ completion:
      telemetry session each kernel group publishes one ``engine/run_start``
      (``engine="batched"``), its ``steps_total`` and one
      ``convergence_steps`` observation per converged cell;
-   * **per-cell mode**: one task per cell through
-     :func:`repro.experiments.parallel.run_tasks_parallel` (the
-     pre-kernel-layer execution shape; DES cells always run this way);
+   * **DES cells run per cell**: one task per cell through
+     :func:`repro.experiments.parallel.run_tasks_parallel` over
+     ``workers`` processes;
 
 3. checkpoint every completed cell the moment it finishes (a flushed
    JSONL line; its sqlite index row is committed with the next
@@ -45,25 +45,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.observability.store import RunStore
 from repro.sweeps.spec import CellSpec, SweepSpec
 from repro.sweeps.store import GROUP_CHUNK, SweepStore
-
-#: Execution modes: ``auto`` batches whatever is batchable.
-MODES = ("auto", "batched", "per-cell")
-
-
-def _convergence_cell_worker(payload: tuple) -> Dict[str, Any]:
-    """One convergence cell as an isolated task (module-level, picklable).
-
-    Calls the same counter-based kernel backend as batched mode with a
-    single-seed group — the construction that guarantees batched results
-    match per-cell results bitwise.
-    """
-    n, daemon, seed, max_steps = payload
-    from repro.kernels.batched import run_convergence_cells
-
-    return run_convergence_cells(
-        n, [seed], daemon, budget=max_steps or None,
-    )[0]
-
 
 def _des_cell_worker(payload: tuple) -> Dict[str, Any]:
     """One DES chaos-to-stabilized cell (module-level, picklable)."""
@@ -156,20 +137,19 @@ def _batch_groups(
 def _execute(
     spec: SweepSpec,
     cells: Sequence[CellSpec],
-    batched: bool,
     workers: int,
     on_cell: Callable[[CellSpec, Dict[str, Any], str, float], None],
 ) -> None:
     """Run ``cells`` of ``spec``; ``on_cell(cell, result, engine, wall)``
     fires in the parent as each one finishes.
 
-    Batched mode advances homogeneous convergence groups in lockstep
-    through the kernel backend; per-cell mode runs one task per cell
-    through :func:`~repro.experiments.parallel.run_tasks_parallel`.  Both
-    import their callees here, at call time, so a patched module
-    attribute reaches them.
+    Convergence cells advance in homogeneous groups in lockstep through
+    the kernel backend; DES cells run one task per cell through
+    :func:`~repro.experiments.parallel.run_tasks_parallel`.  Both import
+    their callees here, at call time, so a patched module attribute
+    reaches them.
     """
-    if batched:
+    if spec.kind == "convergence":
         from repro.kernels.batched import run_convergence_cells
         from repro.telemetry.session import current_session
 
@@ -197,43 +177,29 @@ def _execute(
 
     from repro.experiments.parallel import run_tasks_parallel
 
-    if spec.kind == "convergence":
-        worker = _convergence_cell_worker
-        payloads = [
-            (int(c.params["n"]), str(c.params["daemon"]), c.seed,
-             spec.max_steps)
-            for c in cells
-        ]
-    else:
-        worker = _des_cell_worker
-        payloads = [
-            (spec.algorithm, int(c.params["n"]), float(c.params["loss"]),
-             float(c.params["delay"]), float(c.params["duplication"]),
-             c.seed, spec.slice_duration, spec.max_time, spec.gap_duration)
-            for c in cells
-        ]
+    payloads = [
+        (spec.algorithm, int(c.params["n"]), float(c.params["loss"]),
+         float(c.params["delay"]), float(c.params["duplication"]),
+         c.seed, spec.slice_duration, spec.max_time, spec.gap_duration)
+        for c in cells
+    ]
 
     def _on_result(index, timed, _done, _total):
         result, wall = timed
         on_cell(cells[index], result, "per-cell", wall)
 
     run_tasks_parallel(
-        _timed, [(worker, p) for p in payloads],
+        _timed, [(_des_cell_worker, p) for p in payloads],
         workers=workers, on_result=_on_result,
     )
-
-
-def _batchable(spec: SweepSpec) -> bool:
-    """Whether the spec's cells have a batched (vectorized) backend."""
-    return spec.kind == "convergence" and spec.algorithm == "ssrmin"
 
 
 def run_cells(spec: SweepSpec, *, workers: int = 1) -> List[Dict[str, Any]]:
     """Run every cell of ``spec`` without a store; results in grid order.
 
-    The same execution as :func:`run_sweep` (batched where the kind has a
-    batched backend, else one task per cell over ``workers`` processes),
-    minus checkpoints, the run store and progress events.  Each cell is a
+    The same execution as :func:`run_sweep` (convergence cells batched,
+    DES cells one task per cell over ``workers`` processes), minus
+    checkpoints, the run store and progress events.  Each cell is a
     pure function of its parameters, so the results equal the ``result``
     fields a :func:`run_sweep` of the same spec records.
     """
@@ -243,7 +209,7 @@ def run_cells(spec: SweepSpec, *, workers: int = 1) -> List[Dict[str, Any]]:
     def _collect(cell, result, _engine, _wall):
         results[cell.index] = result
 
-    _execute(spec, cells, _batchable(spec), workers, _collect)
+    _execute(spec, cells, workers, _collect)
     return results
 
 
@@ -254,7 +220,6 @@ def run_sweep(
     run_store: Union[RunStore, str, None] = None,
     resume: bool = False,
     fresh: bool = False,
-    mode: str = "auto",
     workers: int = 1,
     throttle: float = 0.0,
 ) -> Dict[str, Any]:
@@ -272,12 +237,8 @@ def run_sweep(
     resume, fresh:
         What to do when the named sweep already has checkpointed cells:
         keep them and run only the missing set, or discard and restart.
-    mode:
-        ``"auto"`` (batch whatever is batchable), ``"batched"`` (require
-        the batched backend; error for DES grids) or ``"per-cell"`` (one
-        task per cell — the pre-refactor execution shape).
     workers:
-        Process fan-out for per-cell tasks (1 = in-process).
+        Process fan-out for DES cells (1 = in-process).
     throttle:
         Parent-side sleep after each recorded cell — a pacing knob for
         kill/resume tests and CI smoke jobs; 0 disables.
@@ -286,16 +247,7 @@ def run_sweep(
 
     from repro.telemetry.session import current_session
 
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    batchable = _batchable(spec)
-    if mode == "batched" and not batchable:
-        raise ValueError(
-            f"kind {spec.kind!r}/{spec.algorithm} has no batched backend; "
-            f"use mode='auto' or 'per-cell'"
-        )
-    use_batched = batchable and mode != "per-cell"
-
+    engine = "batched" if spec.kind == "convergence" else "per-cell"
     owns_store = not isinstance(run_store, RunStore)
     if owns_store:
         path = run_store if isinstance(run_store, str) else os.path.join(
@@ -314,19 +266,19 @@ def run_sweep(
             missing = [c for c in cells if c.index not in done_before]
             done = len(done_before)
             session = current_session()
-            _publish_progress(session, spec.name, done, total, None, mode)
+            _publish_progress(session, spec.name, done, total, None, engine)
 
             def _record(cell: CellSpec, result: Dict[str, Any],
-                        engine: str, wall: float) -> None:
+                        cell_engine: str, wall: float) -> None:
                 nonlocal done
-                store.record(cell, result, engine, wall)
+                store.record(cell, result, cell_engine, wall)
                 done += 1
                 _publish_progress(session, spec.name, done, total, cell,
-                                  engine)
+                                  cell_engine)
                 if throttle > 0.0:
                     time.sleep(throttle)
 
-            _execute(spec, missing, use_batched, workers, _record)
+            _execute(spec, missing, workers, _record)
 
             wall = time.perf_counter() - t0
             store.finish(done, wall)
@@ -340,7 +292,7 @@ def run_sweep(
                 "ran": ran,
                 "wall_seconds": wall,
                 "cells_per_sec": (ran / wall) if wall > 0 and ran else 0.0,
-                "mode": "batched" if use_batched else "per-cell",
+                "mode": engine,
                 "status": "completed" if done >= total else "running",
                 "directory": store.directory,
             }
@@ -354,7 +306,6 @@ def resume_sweep(
     *,
     base_dir: str = "runs",
     run_store: Union[RunStore, str, None] = None,
-    mode: str = "auto",
     workers: int = 1,
     throttle: float = 0.0,
 ) -> Dict[str, Any]:
@@ -373,11 +324,11 @@ def resume_sweep(
         store.close()
         return run_sweep(
             spec, base_dir=base_dir, run_store=run_store, resume=True,
-            mode=mode, workers=workers, throttle=throttle,
+            workers=workers, throttle=throttle,
         )
     finally:
         if owns_store:
             run_store.close()
 
 
-__all__ = ["GROUP_CHUNK", "MODES", "resume_sweep", "run_cells", "run_sweep"]
+__all__ = ["GROUP_CHUNK", "resume_sweep", "run_cells", "run_sweep"]

@@ -28,7 +28,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.verification.conformance.fuzzer": (
         "DAEMON_FAMILIES", "CampaignResult", "DivergenceRecord", "Scenario",
-        "generate_scenario", "make_daemon", "run_campaign", "run_trial",
+        "generate_scenario", "make_daemon", "run_fuzz_campaign", "run_trial",
     ),
     "repro.verification.conformance.shrink": ("ShrinkStats", "shrink_witness"),
     "repro.verification.conformance.witness": (

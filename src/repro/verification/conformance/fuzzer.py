@@ -272,7 +272,7 @@ class CampaignResult:
         }
 
 
-def run_campaign(
+def run_fuzz_campaign(
     seed: int = 0,
     trials: Optional[int] = None,
     time_budget: Optional[float] = None,

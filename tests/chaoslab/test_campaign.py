@@ -190,6 +190,9 @@ class TestRunCampaign:
             for run in runs:
                 assert run["kind"] == "chaos-cell"
                 assert run["stabilized"] == 1
+                # The cell's keys ride beside the census band.
+                assert run["extra"]["post_stab_min_holders"] >= 1
+                assert run["extra"]["status"] == "completed"
                 assert store.epochs_for(run["id"])  # epochs landed
                 assert store.disturbances_for(run["id"])  # ops landed
                 assert store.samples_for(run["id"])  # observations landed

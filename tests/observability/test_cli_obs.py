@@ -113,8 +113,14 @@ def test_top_plain_cli(tmp_path, capsys):
     assert "repro top — frame" in out
     assert "ssrmin-0" in out and "dijkstra-1" in out
     with RunStore(store) as opened:
-        assert {r["run_id"] for r in opened.list_runs()} == \
-            {"top-ssrmin-0-seed0", "top-dijkstra-1-seed1"}
+        assert {r["run_id"] for r in opened.list_runs()} == {
+            "fleet-ssrmin-r2-n4-seed0",
+            "fleet-ssrmin-r2-n4-seed0/ssrmin-0",
+            "fleet-ssrmin-r2-n4-seed0/dijkstra-1",
+        }
+        fleet = opened.get_run("fleet-ssrmin-r2-n4-seed0")
+    assert fleet["kind"] == "fleet" and fleet["extra"]["ok"] is True
+    assert fleet["extra"]["transport"] == "loopback"
 
 
 def test_live_status_watch_renders_dashboard_rows(tmp_path, capsys):

@@ -1,13 +1,16 @@
 """Dashboard: the shared row renderer and the plain-text top frontend."""
 
+import asyncio
+
 from repro.observability.dashboard import (
     RingRow,
-    TopRingSpec,
     render_rows,
+    run_top_fleet,
     top_plain,
 )
 from repro.observability.ingest import ingest_live_report
 from repro.observability.store import RunStore
+from repro.runtime.fleet import FleetSupervisor, RingSpec
 
 LIVE_BLOCK = {
     "algorithm": "SSRmin", "n": 4, "restarts": 1,
@@ -44,6 +47,21 @@ def test_ring_row_from_live_report():
     assert row.census == 1
 
 
+def test_chaos_cell_row_keeps_the_census_band():
+    # A campaign cell's own ``extra`` merges over the verdict's keys.
+    with RunStore(":memory:") as store:
+        ingest_live_report(store, "camp/loss/seed1", LIVE_BLOCK,
+                           source="chaoslab", kind="chaos-cell",
+                           campaign="camp",
+                           extra={"ok": False, "status": "breach"})
+        run = store.get_run("camp/loss/seed1")
+        row = RingRow.from_run("cell", run, store.epochs_for(run["id"]))
+    assert run["extra"]["post_stab_min_holders"] == 1
+    assert run["extra"]["status"] == "breach"
+    assert run["extra"]["ok"] is False  # the cell's recorded verdict
+    assert row.census == 1
+
+
 def test_ring_row_flags_breach_and_failure():
     block = {
         "algorithm": "SSRmin", "n": 4,
@@ -70,20 +88,40 @@ def test_top_plain_streams_frames_and_records_runs():
     store = RunStore(":memory:")
     frames = []
     specs = [
-        TopRingSpec(name="a", algorithm="ssrmin", n=4, seed=1,
-                    timer_interval=0.05),
-        TopRingSpec(name="b", algorithm="dijkstra", n=4, seed=2,
-                    timer_interval=0.05),
+        RingSpec(name="a", algorithm="ssrmin", n=4, seed=1, wire="json",
+                 timer_interval=0.05),
+        RingSpec(name="b", algorithm="dijkstra", n=4, seed=2, wire="json",
+                 timer_interval=0.05),
     ]
-    reports = top_plain(specs, duration=0.5, refresh=0.1,
-                        store=store, out=frames.append)
-    assert len(reports) == 2
-    assert all(r["health"]["stabilized"] for r in reports)
+    fleet = FleetSupervisor(specs, transport="loopback", store=store)
+    report = top_plain(fleet, duration=0.5, refresh=0.1, out=frames.append)
+    rings = report["ring_reports"]
+    assert sorted(rings) == ["a", "b"]
+    assert all(r["health"]["stabilized"] for r in rings.values())
     text = "\n".join(frames)
     assert "repro top — frame" in text
     assert "ssrmin-a" not in text  # names are used verbatim
     assert "a" in text and "b" in text
-    # Every ring left a queryable run behind, named with its seed.
+    # Every ring left a queryable run behind under the fleet's id, which
+    # is named with its base seed.
     runs = {r["run_id"] for r in store.list_runs()}
-    assert runs == {"top-a-seed1", "top-b-seed2"}
+    assert runs == {"fleet-ssrmin-r2-n4-seed1/a", "fleet-ssrmin-r2-n4-seed1/b"}
     store.close()
+
+
+def test_top_with_zero_duration_runs_until_stopped():
+    frames = []
+
+    def on_frame(lines):
+        frames.append(lines)
+        return len(frames) == 3  # what the curses frontend's ``q`` does
+
+    # The script is still playing when the frontend stops: the session
+    # cancels it and drains the ring.
+    spec = RingSpec(name="a", n=4, seed=1, wire="json", timer_interval=0.05,
+                    script="loss_burst")
+    fleet = FleetSupervisor([spec], transport="loopback")
+    report = asyncio.run(run_top_fleet(fleet, 0, 0.05, on_frame))
+    assert len(frames) == 3
+    assert list(report["ring_reports"]) == ["a"]
+    assert [task.cancelled() for task in fleet._tasks] == [True]

@@ -6,7 +6,6 @@ import os
 from repro import cli
 from repro.core.ssrmin import SSRmin
 from repro.experiments.report import generate_report
-from repro.observability.dashboard import TopRingSpec, top_plain
 from repro.observability.ingest import StoreSubscriber
 from repro.observability.store import RunStore
 from repro.runtime import default_specs, run_fleet
@@ -37,19 +36,26 @@ def test_two_fleets_keep_their_ring_rows(tmp_path):
     ]
 
 
-def test_two_top_sessions_keep_their_ring_rows():
-    store = RunStore(":memory:")
-    for seed in (0, 10):
-        specs = [TopRingSpec(name=f"{alg}-{i}", algorithm=alg, n=4,
-                             seed=seed + i, timer_interval=0.05)
-                 for i, alg in enumerate(("ssrmin", "dijkstra"))]
-        top_plain(specs, duration=0.2, refresh=0.1, store=store,
-                  out=lambda line: None)
-    assert sorted(r["run_id"] for r in store.list_runs()) == [
-        "top-dijkstra-1-seed1", "top-dijkstra-1-seed11",
-        "top-ssrmin-0-seed0", "top-ssrmin-0-seed10",
+def test_two_top_sessions_keep_their_ring_rows(tmp_path, capsys):
+    # top records a fleet, the way ``fleet run`` does: one fleet row and
+    # one row per ring under the fleet id, which carries the base seed.
+    store = str(tmp_path / "store.sqlite")
+    for seed in ("0", "10"):
+        assert cli.main(["top", "--plain", "--rings", "2", "--n", "4",
+                         "--duration", "0.2", "--refresh", "0.1",
+                         "--timer-interval", "0.05", "--seed", seed,
+                         "--store", store]) == 0
+    assert "(run fleet-ssrmin-r2-n4-seed10, 2 ring rows)" in \
+        capsys.readouterr().out
+    assert _ids(store, kind="fleet") == [
+        "fleet-ssrmin-r2-n4-seed0", "fleet-ssrmin-r2-n4-seed10",
     ]
-    store.close()
+    assert _ids(store, kind="live") == [
+        "fleet-ssrmin-r2-n4-seed0/dijkstra-1",
+        "fleet-ssrmin-r2-n4-seed0/ssrmin-0",
+        "fleet-ssrmin-r2-n4-seed10/dijkstra-1",
+        "fleet-ssrmin-r2-n4-seed10/ssrmin-0",
+    ]
 
 
 def _record_breached_run(store_path):
@@ -183,6 +189,8 @@ def test_every_entry_point_leaves_only_the_store_and_its_traces(
                      os.path.join("runs", "store.sqlite")]
     assert _ids(os.path.join("runs", "store.sqlite")) == [
         "fig03",
+        "fleet-ssrmin-r2-n4-seed0", "fleet-ssrmin-r2-n4-seed0/dijkstra-1",
+        "fleet-ssrmin-r2-n4-seed0/ssrmin-0",
         "fleet-ssrmin-r2-n4-seed1", "fleet-ssrmin-r2-n4-seed1/ring-0",
         "fleet-ssrmin-r2-n4-seed1/ring-1",
         "fleet-ssrmin-r2-n4-seed3", "fleet-ssrmin-r2-n4-seed3/ring-0",
@@ -190,5 +198,4 @@ def test_every_entry_point_leaves_only_the_store_and_its_traces(
         "fuzz-seed2", "lem1", "lem2",
         "live-chaos-cache_scramble-ssrmin-n4-seed1",
         "live-run-ssrmin-n4-seed1",
-        "top-dijkstra-1-seed1", "top-ssrmin-0-seed0",
     ]

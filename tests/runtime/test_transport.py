@@ -4,10 +4,11 @@ import asyncio
 
 import pytest
 
+from repro.runtime.supervisor import _build_transport
 from repro.runtime.transport import (
     ChaosTransport,
     LoopbackTransport,
-    UdpTransport,
+    RingView,
 )
 from repro.runtime.wire import WireError, decode_message, encode_message
 
@@ -77,11 +78,22 @@ def test_loopback_drops_for_unregistered_destination():
     assert stats["delivered"] == 0 and stats["dropped"] == 1
 
 
-# -- udp ----------------------------------------------------------------------
+# -- udp: a one-ring mux view -------------------------------------------------
+
+@pytest.mark.parametrize("spec", ["udp", "udp-batch"])
+def test_udp_ring_is_a_one_ring_mux_with_a_socket_per_node(spec):
+    view = _build_transport(spec, 3)
+    assert isinstance(view, RingView)
+    assert view.ring_id == 0
+    assert view.mux.num_sockets == 3
+    assert view.mux.batch is (spec == "udp-batch")
+    # Every node of the ring is homed on its own socket.
+    assert sorted(view.mux._home(0, node) for node in range(3)) == [0, 1, 2]
+
 
 def test_udp_delivers_over_localhost_sockets():
     async def scenario():
-        transport = UdpTransport([0, 1, 2])
+        transport = _build_transport("udp", 3)
         await transport.start()
         inbox = _collect(transport, [0, 1, 2])
         transport.post(0, 1, (3, (1, 1), (0, 0)))
@@ -200,7 +212,7 @@ def test_udp_batch_coalesces_datagrams():
     from repro.runtime.wire import make_wire
 
     async def scenario():
-        transport = UdpTransport([0, 1], batch=True)
+        transport = _build_transport("udp-batch", 2)
         transport.set_wire(make_wire("binary", algorithm=SSRmin(5, 6)))
         await transport.start()
         inbox = _collect(transport, [0, 1])
@@ -211,7 +223,7 @@ def test_udp_batch_coalesces_datagrams():
             if len(inbox[1]) >= 20:
                 break
         await transport.close()
-        return inbox, transport.stats()
+        return inbox, transport.mux.stats()
 
     inbox, stats = asyncio.run(scenario())
     assert len(inbox[1]) == 20
@@ -225,7 +237,7 @@ def test_udp_batch_coalesces_datagrams():
 
 def test_udp_unbatched_sends_one_datagram_per_message():
     async def scenario():
-        transport = UdpTransport([0, 1], batch=False)
+        transport = _build_transport("udp", 2)
         await transport.start()
         inbox = _collect(transport, [0, 1])
         for i in range(5):
@@ -235,10 +247,12 @@ def test_udp_unbatched_sends_one_datagram_per_message():
             if len(inbox[1]) >= 5:
                 break
         await transport.close()
-        return transport.stats()
+        return transport.stats(), transport.mux.stats()
 
-    stats = asyncio.run(scenario())
-    assert stats["datagrams_out"] == 5
+    stats, mux = asyncio.run(scenario())
+    assert stats["sent"] == stats["delivered"] == 5
+    assert not mux["batched"]
+    assert mux["datagrams_out"] == 5
 
 
 # -- fleet mux ----------------------------------------------------------------

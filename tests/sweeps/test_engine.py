@@ -1,10 +1,12 @@
-"""Sweep engine: batched == per-cell identity, resume, reports, telemetry."""
+"""Sweep engine: batched cells equal cells run alone, resume, reports,
+telemetry."""
 
 import json
 import os
 
 import pytest
 
+from repro.kernels.batched import run_convergence_cells
 from repro.observability.store import RunStore
 from repro.sweeps import (
     SweepSpec,
@@ -30,17 +32,17 @@ def _identity(rec):
     return {k: rec[k] for k in IDENTITY}
 
 
-def test_batched_and_per_cell_modes_are_bit_identical(tmp_path):
+def test_batched_cells_equal_each_cell_run_alone(tmp_path):
     spec = SweepSpec(name="grid", n_values=(5, 8), seeds=tuple(range(6)),
                      daemons=("bernoulli:0.5", "central"))
-    a = run_sweep(spec, base_dir=str(tmp_path / "a"), mode="batched")
-    b = run_sweep(spec, base_dir=str(tmp_path / "b"), mode="per-cell")
-    assert a["mode"] == "batched" and b["mode"] == "per-cell"
-    assert a["completed"] == b["completed"] == spec.total_cells()
-    for ra, rb in zip(_cells(str(tmp_path / "a"), "grid"),
-                      _cells(str(tmp_path / "b"), "grid")):
-        assert _identity(ra) == _identity(rb)
-        assert ra["engine"] == "batched" and rb["engine"] == "per-cell"
+    summary = run_sweep(spec, base_dir=str(tmp_path))
+    assert summary["mode"] == "batched"
+    assert summary["completed"] == spec.total_cells()
+    for rec in _cells(str(tmp_path), "grid"):
+        assert rec["engine"] == "batched"
+        params = rec["params"]
+        assert rec["result"] == run_convergence_cells(
+            params["n"], [rec["seed"]], params["daemon"])[0]
 
 
 @pytest.mark.parametrize("spec", [
@@ -117,8 +119,6 @@ def test_des_sweep_runs_per_cell(tmp_path):
         name="d", kind="des", n_values=(4,), seeds=(0, 1),
         loss_rates=(0.0, 0.2), max_time=4000.0, gap_duration=10.0,
     )
-    with pytest.raises(ValueError):
-        run_sweep(spec, base_dir=str(tmp_path), mode="batched")
     summary = run_sweep(spec, base_dir=str(tmp_path))
     assert summary["mode"] == "per-cell"
     assert summary["completed"] == 4
@@ -165,12 +165,6 @@ def test_report_is_store_derived(tmp_path):
         assert "8/8 cells" in render_status(rs)
         with pytest.raises(ValueError):
             build_sweep_report(rs, "nope")
-
-
-def test_invalid_mode_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        run_sweep(SweepSpec(name="m"), base_dir=str(tmp_path),
-                  mode="warp")
 
 
 def test_progress_events_stream_per_cell(tmp_path):

@@ -16,7 +16,7 @@ from repro.verification.conformance import (
     DAEMON_FAMILIES,
     generate_scenario,
     make_daemon,
-    run_campaign,
+    run_fuzz_campaign,
     run_trial,
 )
 
@@ -79,10 +79,10 @@ class TestScenarioGeneration:
 class TestCampaign:
     def test_requires_a_bound(self):
         with pytest.raises(ValueError, match="trials= or time_budget="):
-            run_campaign(seed=0)
+            run_fuzz_campaign(seed=0)
 
     def test_clean_campaign_counts(self):
-        result = run_campaign(seed=21, trials=10)
+        result = run_fuzz_campaign(seed=21, trials=10)
         assert result.ok
         assert result.trials == 10
         assert result.fired_steps > 0
@@ -97,7 +97,7 @@ class TestCampaign:
             # Session-level subscription also flips ``step_detail`` on, so
             # per-trial events are published.
             tel.subscribe(events.append)
-            result = run_campaign(seed=22, trials=5)
+            result = run_fuzz_campaign(seed=22, trials=5)
         assert result.ok
         kinds = [e.kind for e in events if e.layer == "fuzz"]
         assert kinds[0] == "run_start"

@@ -19,7 +19,7 @@ import repro.simulation.fastpath.ssrmin_kernel as ssrmin_kernel
 from repro.messagepassing.node import CSTNode
 from repro.verification.conformance import (
     replay_witness_file,
-    run_campaign,
+    run_fuzz_campaign,
 )
 
 #: Trial budget within which each mutation must be detected.
@@ -27,7 +27,7 @@ BUDGET_TRIALS = 60
 
 
 def _run_mutated_campaign(tmp_path, seed=5):
-    return run_campaign(
+    return run_fuzz_campaign(
         seed=seed,
         trials=BUDGET_TRIALS,
         algorithms=("ssrmin",),
@@ -105,7 +105,7 @@ def test_cst_cache_update_mutation_detected(monkeypatch, tmp_path):
 
 def test_clean_tree_smoke_campaign_is_divergence_free():
     """A short seeded campaign on the unmutated tree reports nothing."""
-    result = run_campaign(seed=3, trials=15)
+    result = run_fuzz_campaign(seed=3, trials=15)
     assert result.ok, result.divergences[0].divergence
     assert result.trials == 15
     assert result.fired_steps > 0
